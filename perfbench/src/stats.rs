@@ -1,0 +1,43 @@
+//! Summary statistics over host-time samples.
+
+/// Median of `xs` (mean of the two middle values for even lengths).
+/// Returns 0 for an empty slice.
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
+/// Linear-interpolated quantile `q` ∈ [0, 1] of `xs`; 0 when empty.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Peak resident set size of this process (`VmHWM`), in MiB; 0 when
+/// `/proc` is unavailable.
+pub fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kib| kib / 1024.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(quantile(&[], 0.5), 0.0);
+    }
+}
