@@ -8,7 +8,7 @@
 //! difference the paper's Figure 10 discussion attributes their divergent
 //! behaviour to.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use flexos_machine::addr::Addr;
 use flexos_machine::fault::Fault;
@@ -68,8 +68,8 @@ impl BlockMap {
     }
 
     /// Releases the block at `addr`, coalescing with free neighbours.
-    /// Returns `(payload size freed, coalesced block base, coalesced size,
-    /// neighbours absorbed)`.
+    /// Returns the payload size freed, the coalesced block, and the free
+    /// neighbours it absorbed (which the caller must unfile).
     ///
     /// # Errors
     ///
@@ -83,14 +83,14 @@ impl BlockMap {
         let freed = blk.size;
         let mut start = raw;
         let mut size = blk.size;
-        let mut absorbed = 0u32;
+        let mut absorbed = [None; 2];
 
         // Coalesce with the next block if free and adjacent.
         if let Some((&next_addr, &next)) = self.blocks.range(raw + 1..).next() {
             if next.free && next_addr == raw + blk.size {
                 self.blocks.remove(&next_addr);
                 size += next.size;
-                absorbed += 1;
+                absorbed[0] = Some((Addr::new(next_addr), next.size));
             }
         }
         // Coalesce with the previous block if free and adjacent.
@@ -99,7 +99,7 @@ impl BlockMap {
                 self.blocks.remove(&raw);
                 start = prev_addr;
                 size += prev.size;
-                absorbed += 1;
+                absorbed[1] = Some((Addr::new(prev_addr), prev.size));
             }
         }
         self.blocks.insert(start, Block { size, free: true });
@@ -192,6 +192,43 @@ impl BlockMap {
         }
         Ok(())
     }
+
+    /// Checks an indexing policy's free lists against the map. `filed`
+    /// yields each free-list entry as its address and the class it is
+    /// filed in; `class_of` maps a block size to its class. Every entry
+    /// must name a free block of its class (no stale entries), and every
+    /// free block must be filed exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn check_filed(
+        &self,
+        filed: impl IntoIterator<Item = (u64, usize)>,
+        class_of: impl Fn(u64) -> usize,
+    ) -> Result<(), String> {
+        let mut seen = BTreeSet::new();
+        for (addr, class) in filed {
+            match self.blocks.get(&addr) {
+                Some(b) if b.free && class_of(b.size) == class => {}
+                Some(b) if b.free => {
+                    return Err(format!(
+                        "free block {addr:#x} of {} bytes filed in class {class}",
+                        b.size
+                    ))
+                }
+                _ => return Err(format!("stale free-list entry {addr:#x}")),
+            }
+            if !seen.insert(addr) {
+                return Err(format!("free block {addr:#x} filed twice"));
+            }
+        }
+        let free = self.blocks.values().filter(|b| b.free).count();
+        if seen.len() != free {
+            return Err(format!("{} of {free} free blocks filed", seen.len()));
+        }
+        Ok(())
+    }
 }
 
 /// Result of [`BlockMap::release`].
@@ -203,8 +240,9 @@ pub struct ReleaseOutcome {
     pub merged_base: Addr,
     /// Size of the (possibly coalesced) free block.
     pub merged_size: u64,
-    /// Number of free neighbours absorbed (0..=2).
-    pub absorbed: u32,
+    /// Free neighbours absorbed into the coalesced block, as `(base,
+    /// size)`: the next block, then the previous one.
+    pub absorbed: [Option<(Addr, u64)>; 2],
 }
 
 #[cfg(test)]
@@ -249,7 +287,10 @@ mod tests {
         m.release(BASE).unwrap();
         m.release(BASE + 128).unwrap();
         let out = m.release(BASE + 64).unwrap();
-        assert_eq!(out.absorbed, 2);
+        assert_eq!(
+            out.absorbed,
+            [Some((BASE + 128, SIZE - 128)), Some((BASE, 64))]
+        );
         assert_eq!(out.merged_base, BASE);
         m.check_invariants(BASE, SIZE, false).unwrap();
     }

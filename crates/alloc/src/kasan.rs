@@ -33,6 +33,9 @@ mod shadow {
 #[derive(Debug)]
 pub struct Kasan {
     base: Addr,
+    /// One byte per granule, stored XOR [`shadow::REDZONE`]: the
+    /// all-poisoned shadow of a fresh region is all zeros, so it comes
+    /// from zeroed allocator pages and untouched parts cost nothing.
     shadow: Vec<u8>,
     quarantine: VecDeque<(Addr, u64)>,
     quarantined_bytes: u64,
@@ -47,7 +50,7 @@ impl Kasan {
     pub fn new(base: Addr, size: u64) -> Self {
         Kasan {
             base,
-            shadow: vec![shadow::REDZONE; (size / GRANULE) as usize + 1],
+            shadow: vec![0; (size / GRANULE) as usize + 1],
             quarantine: VecDeque::new(),
             quarantined_bytes: 0,
             quarantine_limit: 256 * 1024,
@@ -67,9 +70,7 @@ impl Kasan {
         }
         let (start, end) = self.granule_range(addr, len);
         let end = end.min(self.shadow.len() - 1);
-        for s in &mut self.shadow[start..=end] {
-            *s = value;
-        }
+        self.shadow[start..=end].fill(value ^ shadow::REDZONE);
     }
 
     /// Marks an allocation's payload addressable and poisons its redzones.
@@ -121,7 +122,7 @@ impl Kasan {
         }
         let (start, end) = self.granule_range(addr, len);
         for idx in start..=end.min(self.shadow.len() - 1) {
-            match self.shadow[idx] {
+            match self.shadow[idx] ^ shadow::REDZONE {
                 shadow::OK => {}
                 shadow::FREED => {
                     self.reports += 1;

@@ -77,8 +77,12 @@ impl Lea {
     fn unfile_free(&mut self, addr: Addr, size: u64) {
         match small_bin_index(size) {
             Some(bin) => {
-                if let Some(pos) = self.small_bins[bin].iter().position(|&a| a == addr.raw()) {
-                    self.small_bins[bin].swap_remove(pos);
+                // `remove`, not `swap_remove`: the LIFO order decides which
+                // block later allocations get. Allocation takes the tail,
+                // so search from the back.
+                let list = &mut self.small_bins[bin];
+                if let Some(pos) = list.iter().rposition(|&a| a == addr.raw()) {
+                    list.remove(pos);
                 }
             }
             None => {
@@ -161,7 +165,9 @@ impl RegionAlloc for Lea {
             Ok(freed)
         } else {
             let out = self.blocks.release(addr)?;
-            self.scrub_range(out.merged_base.raw(), out.merged_size);
+            for (base, size) in out.absorbed.into_iter().flatten() {
+                self.unfile_free(base, size);
+            }
             self.file_free(out.merged_base, out.merged_size);
             self.allocated -= out.freed;
             Ok(out.freed)
@@ -186,28 +192,38 @@ impl RegionAlloc for Lea {
 }
 
 impl Lea {
-    /// Removes every filed free entry whose address lies within
-    /// `[lo, lo+len)`; used after the block map coalesced neighbours.
-    fn scrub_range(&mut self, lo: u64, len: u64) {
-        let hi = lo + len;
-        for bin in &mut self.small_bins {
-            bin.retain(|&a| !(lo <= a && a < hi));
-        }
-        self.large.retain(|&(_, a)| !(lo <= a && a < hi));
-    }
-
     /// Region base address.
     pub fn base(&self) -> Addr {
         self.base
     }
 
-    /// Validates block-map invariants; used by property tests.
+    /// Validates the block-map invariants (tiling), that every free block
+    /// is filed exactly once in its bin with no stale entry, and that the
+    /// large list is sorted and records each block's size; used by
+    /// property tests.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.blocks.check_invariants(self.base, self.size, true)
+        self.blocks.check_invariants(self.base, self.size, true)?;
+        if !self.large.is_sorted() {
+            return Err("large list out of order".to_string());
+        }
+        for &(size, addr) in &self.large {
+            if self.blocks.get(Addr::new(addr)).map(|b| b.size) != Some(size) {
+                return Err(format!("large entry {addr:#x} records {size} bytes"));
+            }
+        }
+        let filed = self
+            .small_bins
+            .iter()
+            .enumerate()
+            .flat_map(|(bin, list)| list.iter().map(move |&addr| (addr, bin)))
+            .chain(self.large.iter().map(|&(_, addr)| (addr, NUM_SMALL_BINS)));
+        self.blocks.check_filed(filed, |size| {
+            small_bin_index(size).unwrap_or(NUM_SMALL_BINS)
+        })
     }
 }
 

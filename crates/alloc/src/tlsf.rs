@@ -98,8 +98,11 @@ impl Tlsf {
     fn unfile_free(&mut self, addr: Addr, size: u64) {
         let (fl, sl) = mapping(size);
         let list = &mut self.free_lists[fl][sl];
-        if let Some(pos) = list.iter().position(|&a| a == addr.raw()) {
-            list.swap_remove(pos);
+        // `remove`, not `swap_remove`: the LIFO order decides which block
+        // later allocations get. Allocation unfiles the tail, so search
+        // from the back.
+        if let Some(pos) = list.iter().rposition(|&a| a == addr.raw()) {
+            list.remove(pos);
         }
         if list.is_empty() {
             self.sl_bitmaps[fl] &= !(1 << sl);
@@ -161,26 +164,8 @@ impl RegionAlloc for Tlsf {
     fn free(&mut self, addr: Addr) -> Result<u64, Fault> {
         let out = self.blocks.release(addr)?;
         // Neighbours that were absorbed must leave their free lists.
-        if out.absorbed > 0 {
-            // Remove stale entries: the merged block replaces up to two
-            // previously-filed free blocks. We re-scan the lists for any
-            // address now interior to the merged block.
-            let lo = out.merged_base.raw();
-            let hi = lo + out.merged_size;
-            for fl in 0..FL_COUNT {
-                if self.fl_bitmap & (1 << fl) == 0 {
-                    continue;
-                }
-                for sl in 0..SL_COUNT {
-                    self.free_lists[fl][sl].retain(|&a| !(lo <= a && a < hi));
-                    if self.free_lists[fl][sl].is_empty() {
-                        self.sl_bitmaps[fl] &= !(1 << sl);
-                    }
-                }
-                if self.sl_bitmaps[fl] == 0 {
-                    self.fl_bitmap &= !(1 << fl);
-                }
-            }
+        for (base, size) in out.absorbed.into_iter().flatten() {
+            self.unfile_free(base, size);
         }
         self.file_free(out.merged_base, out.merged_size);
         self.allocated -= out.freed;
@@ -210,14 +195,45 @@ impl Tlsf {
         self.base
     }
 
-    /// Validates the block-map invariants (tiling, coalescing); used by
+    /// Validates the block-map invariants (tiling, coalescing), that every
+    /// free block is filed exactly once in its class with no stale entry,
+    /// and that both bitmap levels match the non-empty lists; used by
     /// property tests.
     ///
     /// # Errors
     ///
     /// Returns a description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.blocks.check_invariants(self.base, self.size, false)
+        self.blocks.check_invariants(self.base, self.size, false)?;
+        let mut fl_bitmap = 0u64;
+        for (fl, lists) in self.free_lists.iter().enumerate() {
+            let sl_bitmap = (0..SL_COUNT)
+                .filter(|&sl| !lists[sl].is_empty())
+                .fold(0u16, |bits, sl| bits | 1 << sl);
+            if sl_bitmap != self.sl_bitmaps[fl] {
+                return Err(format!(
+                    "sl bitmap {fl} is {:#06x}, lists say {sl_bitmap:#06x}",
+                    self.sl_bitmaps[fl]
+                ));
+            }
+            if sl_bitmap != 0 {
+                fl_bitmap |= 1 << fl;
+            }
+        }
+        if fl_bitmap != self.fl_bitmap {
+            return Err(format!(
+                "fl bitmap is {:#x}, lists say {fl_bitmap:#x}",
+                self.fl_bitmap
+            ));
+        }
+        let class = |(fl, sl): (usize, usize)| fl * SL_COUNT + sl;
+        let filed = self.free_lists.iter().enumerate().flat_map(|(fl, lists)| {
+            lists
+                .iter()
+                .enumerate()
+                .flat_map(move |(sl, list)| list.iter().map(move |&addr| (addr, class((fl, sl)))))
+        });
+        self.blocks.check_filed(filed, |size| class(mapping(size)))
     }
 }
 

@@ -7,6 +7,8 @@
 //! IPC, Unikraft's `linuxu` tax, CubicleOS `pkey_mprotect` transitions) are
 //! derived from **Figure 10** as documented per field; see DESIGN.md §4.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 /// Cycle costs for every primitive the simulation charges.
 ///
 /// Obtain the paper-calibrated instance with [`CostModel::xeon_silver_4114`]
@@ -189,8 +191,10 @@ pub const BYTE_COST_TABLE_LEN: usize = 16 * 1024 + 1;
 /// the pre-PR data path charged them with a floating-point multiply and
 /// round **per access** — measurable host-side overhead on a path that
 /// runs hundreds of times per simulated request. The table fixes the
-/// charge for every transfer length once, at [`CostModel`] construction
-/// time, so the hot path pays one bounds check and one array load.
+/// charge for every transfer length once, so the hot path pays one bounds
+/// check and one array load. The entries depend only on the per-byte
+/// cost, so one immutable table per distinct cost is computed per process
+/// and shared by every [`crate::Machine`] built with it.
 ///
 /// Entries are the *exact* values `(len as f64 * per_byte).round()`
 /// produced before, bit for bit — a pure fixed-point recomputation
@@ -201,15 +205,27 @@ pub const BYTE_COST_TABLE_LEN: usize = 16 * 1024 + 1;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ByteCostTable {
     per_byte: f64,
-    table: Box<[u32]>,
+    table: Arc<[u32]>,
 }
 
 impl ByteCostTable {
-    /// Precomputes the charge table for `per_byte` cycles per byte.
+    /// The charge table for `per_byte` cycles per byte, computed on first
+    /// use of that cost and shared afterwards.
     pub fn new(per_byte: f64) -> Self {
-        let table = (0..BYTE_COST_TABLE_LEN)
-            .map(|len| (len as f64 * per_byte).round() as u32)
-            .collect();
+        static TABLES: Mutex<Vec<(u64, Arc<[u32]>)>> = Mutex::new(Vec::new());
+        // Every update is a single push, so a poisoned list is still valid.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        let bits = per_byte.to_bits();
+        let table = match tables.iter().find(|(b, _)| *b == bits) {
+            Some((_, table)) => Arc::clone(table),
+            None => {
+                let table: Arc<[u32]> = (0..BYTE_COST_TABLE_LEN)
+                    .map(|len| (len as f64 * per_byte).round() as u32)
+                    .collect();
+                tables.push((bits, Arc::clone(&table)));
+                table
+            }
+        };
         ByteCostTable { per_byte, table }
     }
 
@@ -230,7 +246,7 @@ impl ByteCostTable {
 
 impl CostModel {
     /// The precomputed charge table for [`CostModel::mem_per_byte`] (one
-    /// side of a simulated-memory access). [`crate::Machine`] builds one
+    /// side of a simulated-memory access). [`crate::Machine`] takes one
     /// at construction and charges every data-path byte through it.
     pub fn mem_cost_table(&self) -> ByteCostTable {
         ByteCostTable::new(self.mem_per_byte)

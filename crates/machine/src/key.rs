@@ -52,6 +52,12 @@ impl ProtKey {
     pub const fn index(self) -> u8 {
         self.0
     }
+
+    /// The key whose index is the low four bits of `bits` (page metadata
+    /// packs the key next to other flags).
+    pub(crate) const fn from_low_bits(bits: u8) -> Self {
+        ProtKey(bits & (NUM_KEYS - 1))
+    }
 }
 
 impl fmt::Display for ProtKey {

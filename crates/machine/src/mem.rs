@@ -47,31 +47,19 @@ use crate::key::{Access, Pkru, ProtKey};
 /// zero-filled frames).
 static ZERO_PAGE: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 
-/// One simulated page frame.
-///
-/// Frames are zero-fill-on-demand: `data` stays unallocated (in host terms)
-/// until first written, which keeps multi-hundred-MiB simulated address
-/// spaces cheap.
-#[derive(Debug, Clone, Default)]
-struct PageFrame {
-    key: ProtKey,
-    mapped: bool,
-    data: Option<Box<[u8]>>,
-}
+/// Page-metadata bit set once a page is mapped; the low four bits hold its
+/// protection key.
+const MAPPED: u8 = 0x80;
 
-impl PageFrame {
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        self.data
-            .get_or_insert_with(|| vec![0u8; PAGE_SIZE].into_boxed_slice())
-    }
+/// The bytes of one written page.
+type PageData = Box<[u8; PAGE_SIZE]>;
 
-    /// The frame's readable bytes: its data, or the shared zero page.
-    fn bytes(&self) -> &[u8] {
-        match &self.data {
-            Some(data) => data,
-            None => &ZERO_PAGE,
-        }
-    }
+/// A fresh zero-filled page, taken zeroed from the allocator.
+fn zeroed_page() -> PageData {
+    vec![0u8; PAGE_SIZE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a PAGE_SIZE vector is one page")
 }
 
 /// The one-entry access-rights cache (see the module docs). `page` is
@@ -95,8 +83,17 @@ impl RightsEntry {
 
 /// The simulated physical memory: an array of pages, each tagged with a
 /// protection key.
+///
+/// Page state is kept as two arrays that start all zero, so a fresh
+/// memory of any size comes from zeroed allocator pages. Pages are
+/// zero-fill-on-demand: a page's data stays unallocated (in host terms)
+/// until first written, which keeps multi-hundred-MiB simulated address
+/// spaces cheap.
 pub struct Memory {
-    frames: Vec<PageFrame>,
+    /// One byte per page: [`MAPPED`] | key index. Zero is unmapped.
+    meta: Vec<u8>,
+    /// Page contents; `None` until the page is first written.
+    data: Vec<Option<PageData>>,
     /// Bumped by [`Memory::map`]/[`Memory::set_key`]; tags `rights_cache`.
     epoch: Cell<u64>,
     rights_cache: Cell<RightsEntry>,
@@ -104,9 +101,9 @@ pub struct Memory {
 
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mapped = self.frames.iter().filter(|p| p.mapped).count();
+        let mapped = self.meta.iter().filter(|&&m| m & MAPPED != 0).count();
         f.debug_struct("Memory")
-            .field("pages", &self.frames.len())
+            .field("pages", &self.meta.len())
             .field("mapped_pages", &mapped)
             .finish()
     }
@@ -117,7 +114,8 @@ impl Memory {
     pub fn new(bytes: u64) -> Self {
         let pages = crate::addr::pages_for(bytes) as usize;
         Memory {
-            frames: vec![PageFrame::default(); pages],
+            meta: vec![0; pages],
+            data: vec![None; pages],
             epoch: Cell::new(0),
             rights_cache: Cell::new(RightsEntry::EMPTY),
         }
@@ -125,7 +123,19 @@ impl Memory {
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        (self.frames.len() * PAGE_SIZE) as u64
+        (self.meta.len() * PAGE_SIZE) as u64
+    }
+
+    /// Page `page`'s readable bytes: its data, or the shared zero page.
+    #[inline]
+    fn bytes(&self, page: u64) -> &[u8; PAGE_SIZE] {
+        self.data[page as usize].as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// Page `page`'s bytes for writing, allocated zeroed on first touch.
+    #[inline]
+    fn bytes_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
+        self.data[page as usize].get_or_insert_with(zeroed_page)
     }
 
     /// Maps `pages` pages starting at `base` (page-aligned) and tags them
@@ -140,15 +150,12 @@ impl Memory {
         let first = base.page_index();
         let last = first
             .checked_add(pages)
-            .filter(|&end| end <= self.frames.len() as u64)
+            .filter(|&end| end <= self.meta.len() as u64)
             .ok_or(Fault::OutOfBounds {
                 addr: base,
                 len: pages * PAGE_SIZE as u64,
             })?;
-        for frame in &mut self.frames[first as usize..last as usize] {
-            frame.mapped = true;
-            frame.key = key;
-        }
+        self.meta[first as usize..last as usize].fill(MAPPED | key.index());
         self.bump_epoch();
         Ok(())
     }
@@ -165,19 +172,19 @@ impl Memory {
     pub fn set_key(&mut self, base: Addr, pages: u64, key: ProtKey) -> Result<(), Fault> {
         let first = base.page_index() as usize;
         let last = first + pages as usize;
-        if last > self.frames.len() {
+        if last > self.meta.len() {
             return Err(Fault::OutOfBounds {
                 addr: base,
                 len: pages * PAGE_SIZE as u64,
             });
         }
-        for (i, frame) in self.frames[first..last].iter_mut().enumerate() {
-            if !frame.mapped {
+        for (i, meta) in self.meta[first..last].iter_mut().enumerate() {
+            if *meta & MAPPED == 0 {
                 return Err(Fault::Unmapped {
                     addr: Addr::new(((first + i) * PAGE_SIZE) as u64),
                 });
             }
-            frame.key = key;
+            *meta = MAPPED | key.index();
         }
         self.bump_epoch();
         Ok(())
@@ -193,14 +200,14 @@ impl Memory {
     ///
     /// Returns [`Fault::Unmapped`] for unmapped addresses.
     pub fn key_of(&self, addr: Addr) -> Result<ProtKey, Fault> {
-        let frame = self
-            .frames
+        let meta = *self
+            .meta
             .get(addr.page_index() as usize)
             .ok_or(Fault::OutOfBounds { addr, len: 1 })?;
-        if !frame.mapped {
+        if meta & MAPPED == 0 {
             return Err(Fault::Unmapped { addr });
         }
-        Ok(frame.key)
+        Ok(ProtKey::from_low_bits(meta))
     }
 
     /// Validates the overall bounds of a non-empty access and returns its
@@ -218,7 +225,7 @@ impl Memory {
             .ok_or_else(|| Fault::OutOfBounds { addr, len })?;
         let first = addr.page_index();
         let last = end.page_index();
-        if last >= self.frames.len() as u64 {
+        if last >= self.meta.len() as u64 {
             return Err(Fault::OutOfBounds { addr, len });
         }
         Ok((first, last))
@@ -245,20 +252,21 @@ impl Memory {
                 Access::Write => {} // cached read-only: recheck below
             }
         }
-        let frame = &self.frames[page as usize];
-        if !frame.mapped {
+        let meta = self.meta[page as usize];
+        if meta & MAPPED == 0 {
             return Err(Fault::Unmapped {
                 addr: Addr::new(page * PAGE_SIZE as u64),
             });
         }
-        if !pkru.allows(frame.key, kind) {
+        let key = ProtKey::from_low_bits(meta);
+        if !pkru.allows(key, kind) {
             return Err(Fault::ProtectionKey {
                 addr: if page == first_page {
                     range_addr
                 } else {
                     Addr::new(page * PAGE_SIZE as u64)
                 },
-                key: frame.key,
+                key,
                 access: kind,
             });
         }
@@ -266,7 +274,7 @@ impl Memory {
             epoch: self.epoch.get(),
             page,
             pkru: *pkru,
-            write_ok: pkru.allows(frame.key, Access::Write),
+            write_ok: pkru.allows(key, Access::Write),
         });
         Ok(())
     }
@@ -290,7 +298,7 @@ impl Memory {
             // Same-page fast path: one frame, one rights check, one copy.
             self.check_page(first, first, addr, pkru, Access::Read)?;
             let off = addr.page_offset();
-            buf.copy_from_slice(&self.frames[first as usize].bytes()[off..off + len]);
+            buf.copy_from_slice(&self.bytes(first)[off..off + len]);
             return Ok(());
         }
         let mut copied = 0usize;
@@ -300,8 +308,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Read)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(len - copied);
-            buf[copied..copied + take]
-                .copy_from_slice(&self.frames[page as usize].bytes()[off..off + take]);
+            buf[copied..copied + take].copy_from_slice(&self.bytes(page)[off..off + take]);
             copied += take;
             cur += take as u64;
         }
@@ -354,7 +361,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Read)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min((len - done) as usize);
-            f(&self.frames[page as usize].bytes()[off..off + take]);
+            f(&self.bytes(page)[off..off + take]);
             done += take as u64;
             cur += take as u64;
         }
@@ -379,7 +386,7 @@ impl Memory {
             // memcmp.
             self.check_page(first, first, addr, pkru, Access::Read)?;
             let off = addr.page_offset();
-            return Ok(&self.frames[first as usize].bytes()[off..off + len] == bytes);
+            return Ok(&self.bytes(first)[off..off + len] == bytes);
         }
         let mut equal = true;
         let mut checked = 0usize;
@@ -409,7 +416,7 @@ impl Memory {
         if first == last {
             self.check_page(first, first, addr, pkru, Access::Write)?;
             let off = addr.page_offset();
-            self.frames[first as usize].bytes_mut()[off..off + len].copy_from_slice(buf);
+            self.bytes_mut(first)[off..off + len].copy_from_slice(buf);
             return Ok(());
         }
         let mut copied = 0usize;
@@ -419,8 +426,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Write)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(len - copied);
-            self.frames[page as usize].bytes_mut()[off..off + take]
-                .copy_from_slice(&buf[copied..copied + take]);
+            self.bytes_mut(page)[off..off + take].copy_from_slice(&buf[copied..copied + take]);
             copied += take;
             cur += take as u64;
         }
@@ -444,7 +450,7 @@ impl Memory {
             self.check_page(page, first, addr, pkru, Access::Write)?;
             let off = cur.page_offset();
             let take = (PAGE_SIZE - off).min(remaining as usize);
-            self.frames[page as usize].bytes_mut()[off..off + take].fill(byte);
+            self.bytes_mut(page)[off..off + take].fill(byte);
             remaining -= take as u64;
             cur += take as u64;
         }
@@ -488,12 +494,10 @@ impl Memory {
                 .min((len - done) as usize);
             let spage = s.page_index();
             self.check_page(spage, sfirst, src, pkru, Access::Read)?;
-            staging[..take]
-                .copy_from_slice(&self.frames[spage as usize].bytes()[soff..soff + take]);
+            staging[..take].copy_from_slice(&self.bytes(spage)[soff..soff + take]);
             let dpage = d.page_index();
             self.check_page(dpage, dfirst, dst, pkru, Access::Write)?;
-            self.frames[dpage as usize].bytes_mut()[doff..doff + take]
-                .copy_from_slice(&staging[..take]);
+            self.bytes_mut(dpage)[doff..doff + take].copy_from_slice(&staging[..take]);
             done += take as u64;
         }
         Ok(())

@@ -9,11 +9,7 @@ use flexos_core::gate::GateKind;
 use flexos_core::image::MPK_MAX_COMPARTMENTS;
 use flexos_machine::fault::Fault;
 
-use crate::wxorx::{scan_text, synthesize_text};
-
-/// Synthetic text bytes scanned per component (stand-in for its real
-/// `.text` section; see [`crate::wxorx::synthesize_text`]).
-const TEXT_BYTES_PER_COMPONENT: usize = 64 * 1024;
+use crate::wxorx::{component_text, scan_text};
 
 /// The Intel MPK backend (§4.1): 1400 LoC of the prototype's 3250-LoC
 /// kernel patch.
@@ -68,8 +64,7 @@ impl IsolationBackend for MpkBackend {
         }
         // W^X static scan: no component text may write PKRU (§4.1).
         for (_, component) in registry.iter() {
-            let text = synthesize_text(&component.name, TEXT_BYTES_PER_COMPONENT);
-            scan_text(&component.name, &text)?;
+            scan_text(&component.name, &component_text(&component.name))?;
         }
         for (name, text) in &self.extra_text {
             scan_text(name, text)?;

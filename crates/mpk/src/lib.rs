@@ -24,4 +24,4 @@ pub mod wxorx;
 
 pub use backend::MpkBackend;
 pub use gates::{GateStep, MpkGate};
-pub use wxorx::{scan_text, synthesize_text, WRPKRU_OPCODE};
+pub use wxorx::{component_text, scan_text, synthesize_text, WRPKRU_OPCODE};

@@ -7,6 +7,9 @@
 //! text for the `wrpkru` instruction (and the `xrstor` family that can
 //! also write PKRU) outside the blessed gate code.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
+
 use flexos_machine::fault::Fault;
 
 /// Encoding of `wrpkru` (0F 01 EF).
@@ -16,6 +19,13 @@ pub const WRPKRU_OPCODE: [u8; 3] = [0x0F, 0x01, 0xEF];
 /// any `xrstor` is rejected, as ERIM does).
 pub const XRSTOR_OPCODE: [u8; 3] = [0x0F, 0xAE, 0x2F];
 
+/// The two-byte-opcode escape both forbidden sequences start with.
+const ESCAPE: u8 = 0x0F;
+
+/// Synthetic text bytes per component (the stand-in for its real `.text`
+/// section; see [`component_text`]).
+pub const COMPONENT_TEXT_BYTES: usize = 64 * 1024;
+
 /// Scans a component's text for PKRU-writing instructions.
 ///
 /// # Errors
@@ -24,14 +34,54 @@ pub const XRSTOR_OPCODE: [u8; 3] = [0x0F, 0xAE, 0x2F];
 /// `text`; component code must reach PKRU only through gate code, which is
 /// emitted by the toolchain and not part of any component's text.
 pub fn scan_text(component: &str, text: &[u8]) -> Result<(), Fault> {
-    for window in text.windows(3) {
-        if window == WRPKRU_OPCODE || window == XRSTOR_OPCODE {
-            return Err(Fault::WxViolation {
-                component: component.to_string(),
-            });
-        }
+    match gadgets(text).next() {
+        Some(_) => Err(Fault::WxViolation {
+            component: component.to_string(),
+        }),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// Offsets of every PKRU-writing sequence in `text`, in order. Both
+/// sequences start with the `0x0F` escape byte, so the search jumps from
+/// one escape to the next, a word at a time, and compares only there; it
+/// finds what comparing every 3-byte window finds.
+fn gadgets(text: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        while let Some(at) = next_escape(text, from) {
+            from = at + 1;
+            if text
+                .get(at..at + 3)
+                .is_some_and(|w| w == WRPKRU_OPCODE || w == XRSTOR_OPCODE)
+            {
+                return Some(at);
+            }
+        }
+        None
+    })
+}
+
+/// Offset of the first [`ESCAPE`] byte at or after `from`, if any.
+fn next_escape(text: &[u8], from: usize) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut at = from;
+    while let Some(chunk) = text.get(at..at + 8) {
+        // Bytes equal to the escape become zero; the lowest flagged byte
+        // is the first zero (flags above a zero byte may be spurious).
+        let x =
+            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ (LOW * u64::from(ESCAPE));
+        let zeros = x.wrapping_sub(LOW) & !x & HIGH;
+        if zeros != 0 {
+            return Some(at + (zeros.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    text.get(at..)?
+        .iter()
+        .position(|&b| b == ESCAPE)
+        .map(|i| at + i)
 }
 
 /// Deterministically synthesizes a component's "binary text" for the scan.
@@ -57,12 +107,29 @@ pub fn synthesize_text(name: &str, size: usize) -> Vec<u8> {
         text.extend_from_slice(&word.to_le_bytes());
     }
     text.truncate(size);
-    // Scrub any accidental forbidden sequence.
-    for i in 0..text.len().saturating_sub(2) {
-        if text[i..i + 3] == WRPKRU_OPCODE || text[i..i + 3] == XRSTOR_OPCODE {
-            text[i + 2] ^= 0xFF;
-        }
+    // Scrub any accidental forbidden sequence. Flipping its last byte
+    // (0xEF or 0x2F) never creates or removes an escape byte, so it
+    // changes no other window: finding every sequence first gives the
+    // same bytes as scrubbing window by window.
+    let found: Vec<usize> = gadgets(&text).collect();
+    for at in found {
+        text[at + 2] ^= 0xFF;
     }
+    text
+}
+
+/// `name`'s [`COMPONENT_TEXT_BYTES`] of synthesized text. Each name's text
+/// is synthesized once per process and shared immutably; the MPK backend
+/// still scans it on every build.
+pub fn component_text(name: &str) -> Arc<[u8]> {
+    static TEXTS: Mutex<BTreeMap<String, Arc<[u8]>>> = Mutex::new(BTreeMap::new());
+    // Every update is a single insert, so a poisoned map is still valid.
+    let mut texts = TEXTS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(text) = texts.get(name) {
+        return Arc::clone(text);
+    }
+    let text: Arc<[u8]> = synthesize_text(name, COMPONENT_TEXT_BYTES).into();
+    texts.insert(name.to_string(), Arc::clone(&text));
     text
 }
 
@@ -127,7 +194,7 @@ mod tests {
 
     #[test]
     fn sequence_straddling_scan_positions_found() {
-        // The scan must use sliding windows, not aligned chunks.
+        // The scan must find sequences at any offset, not aligned chunks.
         let mut text = vec![0u8; 16];
         text[7..10].copy_from_slice(&WRPKRU_OPCODE);
         assert!(scan_text("x", &text).is_err());

@@ -124,6 +124,81 @@ fn lea_roundtrips_and_keeps_tiling() {
     }
 }
 
+/// Folds `bytes` into an FNV-1a digest.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Drives `alloc` through 12k seeded mixed-size operations (mostly the
+/// small classes a Redis heap fills, some large and over-aligned ones)
+/// and returns an FNV-1a digest of every returned address, slow-path
+/// flag and freed size. `check` runs every 16 operations and at the end.
+fn churn_digest<A: RegionAlloc>(alloc: &mut A, check: fn(&A) -> Result<(), String>) -> u64 {
+    let mut rng = Rng::new(0xc4a7_f00c);
+    let mut live: Vec<Addr> = Vec::new();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for op in 0..12_000u32 {
+        if !live.is_empty() && rng.range(0, 100) < 48 {
+            let addr = live.swap_remove(rng.range(0, live.len() as u64) as usize);
+            let freed = alloc.free(addr).expect("live block frees");
+            fnv1a(&mut digest, &freed.to_le_bytes());
+        } else {
+            let size = match rng.range(0, 100) {
+                0..=54 => rng.range(1, 49),
+                55..=79 => rng.range(49, 513),
+                80..=94 => rng.range(513, 4097),
+                _ => rng.range(4097, 65_537),
+            };
+            let align = if rng.range(0, 16) == 0 { 64 } else { 16 };
+            match alloc.alloc(size, align) {
+                Ok(addr) => {
+                    fnv1a(&mut digest, &addr.raw().to_le_bytes());
+                    fnv1a(&mut digest, &[u8::from(alloc.last_was_slow_path())]);
+                    live.push(addr);
+                }
+                Err(_) => fnv1a(&mut digest, &[0xFF]),
+            }
+        }
+        if op % 16 == 0 {
+            check(alloc).expect("invariants hold mid-churn");
+        }
+    }
+    for addr in live {
+        let freed = alloc.free(addr).expect("cleanup");
+        fnv1a(&mut digest, &freed.to_le_bytes());
+    }
+    check(alloc).expect("invariants hold after cleanup");
+    assert_eq!(alloc.allocated_bytes(), 0);
+    digest
+}
+
+#[test]
+fn tlsf_free_lists_stay_consistent_and_results_stay_pinned() {
+    let mut tlsf = Tlsf::new(Addr::new(0x10000), 8 << 20);
+    // Recorded with the pre-optimisation allocator, which rescanned
+    // every free list on each coalescing free.
+    assert_eq!(
+        churn_digest(&mut tlsf, Tlsf::check_invariants),
+        0x0b9b_5059_2787_5b21,
+        "TLSF addresses or slow-path flags moved"
+    );
+}
+
+#[test]
+fn lea_free_lists_stay_consistent_and_results_stay_pinned() {
+    let mut lea = Lea::new(Addr::new(0x10000), 8 << 20);
+    // Recorded with the pre-optimisation allocator, which rescanned
+    // every bin on each coalescing free.
+    assert_eq!(
+        churn_digest(&mut lea, Lea::check_invariants),
+        0x6c5c_be41_1026_f64a,
+        "Lea addresses or slow-path flags moved"
+    );
+}
+
 #[test]
 fn memory_enforces_keys_for_arbitrary_accesses() {
     let mut rng = Rng::new(0x4e40_f003);
