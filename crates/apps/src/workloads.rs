@@ -9,6 +9,7 @@
 
 use std::rc::Rc;
 
+use flexos_core::component::ComponentId;
 use flexos_core::gate::GATE_KIND_COUNT;
 use flexos_machine::fault::Fault;
 use flexos_net::{SocketHandle, TcpClient};
@@ -43,6 +44,13 @@ fn metrics(os: &FlexOs, ops: u64, cycles: u64) -> RunMetrics {
     }
 }
 
+/// The image's `name` component, or a configuration fault naming it.
+fn require_component(os: &FlexOs, name: &str) -> Result<ComponentId, Fault> {
+    os.component(name).ok_or_else(|| Fault::InvalidConfig {
+        reason: format!("image has no `{name}` component"),
+    })
+}
+
 /// Installs a Redis server (component `redis` must be registered in the
 /// image) and returns it started and listening.
 ///
@@ -65,11 +73,7 @@ pub fn install_redis_named(
     component: &str,
     port: u16,
 ) -> Result<Rc<RedisServer>, Fault> {
-    let id = os
-        .component(component)
-        .ok_or_else(|| Fault::InvalidConfig {
-            reason: format!("image has no `{component}` component"),
-        })?;
+    let id = require_component(os, component)?;
     let server = Rc::new(RedisServer::new(
         Rc::clone(&os.env),
         id,
@@ -193,70 +197,42 @@ fn xorshift64star(state: &mut u64) -> u64 {
 /// buffered request, so deep pipelines amortize the per-tick
 /// scheduler/cron crossings over many commands.
 ///
+/// Every core count runs the same sharded loop: one listener shard per
+/// core (port `REDIS_PORT + core`, its own dict preloaded identically),
+/// multiplexed min-clock-first by the phase driver shared with
+/// [`run_nginx_gets`]. Every core runs the full `warmup + measured`
+/// load; `ops` is the aggregate and `cycles` the makespan, so
+/// `cycles_per_op` reflects per-core throughput including cross-core
+/// gate (IPI) and contention surcharges. One core is a single shard
+/// with a single connection — the pre-SMP benchmark.
+///
 /// # Errors
 ///
 /// Substrate faults; protocol errors.
 pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
     debug_assert!(bench.keyspace >= 2, "key:1 must exist");
     debug_assert!(bench.pipeline >= 1);
-    if os.env.num_cores() > 1 {
-        return run_redis_bench_smp(os, bench);
-    }
-    let server = install_redis(os)?;
-    // Values cycle x/y/z so the 3-key preload is byte-identical to the
-    // historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture. (Host-side
-    // key formatting is off the measured path; counters reset below.)
-    for i in 0..bench.keyspace {
-        let key = format!("key:{i}");
-        server.preload(&[(key.as_bytes(), &preload_value(i))])?;
-    }
-    let mut client = TcpClient::connect(&os.net, 50_000, REDIS_PORT)?;
-    let conn = server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-        reason: "redis: handshake did not queue a connection".to_string(),
-    })?;
-
-    // Hot-key batches are built once — the byte-identical historical
-    // request stream. Uniform batches are rebuilt per batch from the
-    // PRNG; that formatting is host-side client work, off the measured
-    // virtual clock (client cores are free in the paper's testbed).
-    let one_request = resp::encode_request(&[b"GET", b"key:1"]);
-    let mut request = Vec::new();
-    let mut expected = Vec::new();
-    if bench.pattern == KeyPattern::HotKey {
-        for _ in 0..bench.pipeline {
-            request.extend_from_slice(&one_request);
-            expected.extend_from_slice(b"$3\r\nyyy\r\n");
+    let install = |port| {
+        let server = install_redis_named(os, "redis", port)?;
+        // Values cycle x/y/z so the 3-key preload is byte-identical to
+        // the historical `key:0=xxx, key:1=yyy, key:2=zzz` fixture.
+        // (Host-side key formatting is off the measured path; counters
+        // reset before measurement.)
+        for i in 0..bench.keyspace {
+            let key = format!("key:{i}");
+            server.preload(&[(key.as_bytes(), &preload_value(i))])?;
         }
-    }
-    let mut rng = match bench.pattern {
-        // Force a nonzero state (xorshift has an all-zero fixed point)
-        // without disturbing low seed bits.
-        KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
-        KeyPattern::HotKey => 0,
+        Ok(server)
     };
-    let run_batch = |client: &mut TcpClient,
-                     request: &mut Vec<u8>,
-                     expected: &mut Vec<u8>,
-                     rng: &mut u64|
-     -> Result<(), Fault> {
-        if let KeyPattern::Uniform { space, .. } = bench.pattern {
-            let space = space.max(1);
-            request.clear();
-            expected.clear();
-            for _ in 0..bench.pipeline {
-                let i = xorshift64star(rng) % space;
-                let key = format!("key:{i}");
-                request.extend_from_slice(&resp::encode_request(&[b"GET", key.as_bytes()]));
-                if i < bench.keyspace {
-                    expected.extend_from_slice(b"$3\r\n");
-                    expected.extend_from_slice(&preload_value(i));
-                    expected.extend_from_slice(b"\r\n");
-                } else {
-                    expected.extend_from_slice(b"$-1\r\n");
-                }
-            }
-        }
-        client.send(&os.net, request)?;
+    let mut shards = open_shards(os, 50_000, REDIS_PORT, install, RedisServer::accept)?;
+    let mut streams: Vec<RedisStream> = shards.iter().map(|_| RedisStream::new(&bench)).collect();
+    let batches = |ops: u64| ops.div_ceil(bench.pipeline);
+    let measured_batches = batches(bench.measured);
+    let makespan = run_shards(os, batches(bench.warmup), measured_batches, |c| {
+        let stream = &mut streams[c];
+        stream.next_batch(&bench);
+        let (server, client, conn) = shards[c].next();
+        client.send(&os.net, &stream.request)?;
         let target = server.stats().commands + bench.pipeline;
         while server.stats().commands < target {
             if !server.serve_one(conn)? {
@@ -268,216 +244,186 @@ pub fn run_redis_bench(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fau
         client.drain(&os.net)?;
         debug_assert_eq!(
             client.received(),
-            &expected[..],
+            &stream.expected[..],
             "replies must match the key pattern"
         );
         client.clear_received();
         Ok(())
-    };
-    let batches = |ops: u64| ops.div_ceil(bench.pipeline);
-    for _ in 0..batches(bench.warmup) {
-        run_batch(&mut client, &mut request, &mut expected, &mut rng)?;
-    }
-    os.env.reset_counters();
-    let start = os.cycles();
-    let measured_batches = batches(bench.measured);
-    let request_latency = os.env.machine().tracer().request_latency();
-    for _ in 0..measured_batches {
-        let batch_start = os.cycles();
-        run_batch(&mut client, &mut request, &mut expected, &mut rng)?;
-        request_latency.record(os.cycles() - batch_start);
-    }
-    Ok(metrics(
-        os,
-        measured_batches * bench.pipeline,
-        os.cycles() - start,
-    ))
+    })?;
+    let ops = shards.len() as u64 * measured_batches * bench.pipeline;
+    Ok(metrics(os, ops, makespan))
 }
 
-/// Connections each per-core listener shard serves in a multi-core run
-/// (8 cores ⇒ 256 concurrent connections).
-const SMP_CONNS_PER_CORE: usize = 32;
-
-/// Runs per-core shard loops in virtual-time order until every core has
-/// executed `batches_per_core` batches: each turn picks the unfinished
-/// core with the smallest per-core clock (lowest core id on ties),
-/// switches the machine onto it, and runs exactly one batch — so
-/// execution stays single-host-threaded and bit-reproducible while the
-/// cores interleave exactly as their virtual clocks dictate. Returns
-/// each core's clock after its last batch (its phase end).
-fn drive_cores(
-    os: &FlexOs,
-    batches_per_core: u64,
-    record_latency: bool,
-    mut batch: impl FnMut(usize) -> Result<(), Fault>,
-) -> Result<Vec<u64>, Fault> {
-    let machine = os.env.machine();
-    let cores = os.env.num_cores();
-    let mut done = vec![0u64; cores];
-    let mut ends: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
-    loop {
-        let mut pick: Option<usize> = None;
-        for (c, &c_done) in done.iter().enumerate() {
-            if c_done >= batches_per_core {
-                continue;
-            }
-            let earlier = match pick {
-                Some(p) => machine.core_clock(c).now() < machine.core_clock(p).now(),
-                None => true,
-            };
-            if earlier {
-                pick = Some(c);
-            }
-        }
-        let Some(c) = pick else { break };
-        os.env.switch_core(c);
-        let t0 = machine.core_clock(c).now();
-        batch(c)?;
-        let t1 = machine.core_clock(c).now();
-        if record_latency {
-            machine.tracer().request_latency().record(t1 - t0);
-        }
-        done[c] += 1;
-        if done[c] >= batches_per_core {
-            ends[c] = t1;
-        }
-    }
-    Ok(ends)
-}
-
-/// One per-core Redis listener shard: its own server instance (own dict,
-/// preloaded identically on every core), its own port, and
-/// [`SMP_CONNS_PER_CORE`] keep-alive client connections served
-/// round-robin.
-struct RedisShard {
-    server: Rc<RedisServer>,
-    clients: Vec<TcpClient>,
-    conns: Vec<SocketHandle>,
-    next_conn: usize,
+/// One shard's client request stream: the next batch's request bytes
+/// and the replies it must produce.
+struct RedisStream {
     rng: u64,
     request: Vec<u8>,
     expected: Vec<u8>,
 }
 
-/// One batch on a shard: rotate to the next connection, send the batch,
-/// tick the shard's event loop until it is served, drain and check the
-/// replies. Mirrors the single-core `run_batch` exactly.
-fn redis_shard_batch(os: &FlexOs, bench: &RedisBench, shard: &mut RedisShard) -> Result<(), Fault> {
-    if let KeyPattern::Uniform { space, .. } = bench.pattern {
-        let space = space.max(1);
-        shard.request.clear();
-        shard.expected.clear();
-        for _ in 0..bench.pipeline {
-            let i = xorshift64star(&mut shard.rng) % space;
-            let key = format!("key:{i}");
-            shard
-                .request
-                .extend_from_slice(&resp::encode_request(&[b"GET", key.as_bytes()]));
-            if i < bench.keyspace {
-                shard.expected.extend_from_slice(b"$3\r\n");
-                shard.expected.extend_from_slice(&preload_value(i));
-                shard.expected.extend_from_slice(b"\r\n");
-            } else {
-                shard.expected.extend_from_slice(b"$-1\r\n");
-            }
-        }
-    }
-    let idx = shard.next_conn;
-    shard.next_conn = (idx + 1) % shard.clients.len();
-    let client = &mut shard.clients[idx];
-    client.send(&os.net, &shard.request)?;
-    let target = shard.server.stats().commands + bench.pipeline;
-    while shard.server.stats().commands < target {
-        if !shard.server.serve_one(shard.conns[idx])? {
-            return Err(Fault::InvalidConfig {
-                reason: "redis: connection starved mid-batch".to_string(),
-            });
-        }
-    }
-    client.drain(&os.net)?;
-    debug_assert_eq!(
-        client.received(),
-        &shard.expected[..],
-        "replies must match the key pattern"
-    );
-    client.clear_received();
-    Ok(())
-}
-
-/// Multi-core redis-benchmark: one listener shard per core (port
-/// `REDIS_PORT + core`), each serving [`SMP_CONNS_PER_CORE`] keep-alive
-/// connections, with the cores multiplexed min-clock-first by
-/// [`drive_cores`]. Every core runs the full `warmup + measured` load;
-/// `ops` is the aggregate and `cycles` the makespan (slowest core's
-/// measured-phase span), so `cycles_per_op` reflects per-core throughput
-/// including cross-core gate (IPI) and contention surcharges.
-fn run_redis_bench_smp(os: &FlexOs, bench: RedisBench) -> Result<RunMetrics, Fault> {
-    let cores = os.env.num_cores();
-    let machine = os.env.machine();
-    let one_request = resp::encode_request(&[b"GET", b"key:1"]);
-    let mut shards = Vec::with_capacity(cores);
-    for core in 0..cores {
-        os.env.switch_core(core);
-        let port = REDIS_PORT + core as u16;
-        let server = install_redis_named(os, "redis", port)?;
-        for i in 0..bench.keyspace {
-            let key = format!("key:{i}");
-            server.preload(&[(key.as_bytes(), &preload_value(i))])?;
-        }
-        let mut clients = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        let mut conns = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        for i in 0..SMP_CONNS_PER_CORE {
-            let src = 50_000 + core as u16 * 1_000 + i as u16;
-            clients.push(TcpClient::connect(&os.net, src, port)?);
-            conns.push(server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-                reason: "redis: handshake did not queue a connection".to_string(),
-            })?);
-        }
+impl RedisStream {
+    /// Hot-key batches are built once — the byte-identical historical
+    /// request stream. Uniform batches are rebuilt per batch by
+    /// [`RedisStream::next_batch`].
+    fn new(bench: &RedisBench) -> RedisStream {
         let mut request = Vec::new();
         let mut expected = Vec::new();
         if bench.pattern == KeyPattern::HotKey {
+            let one_request = resp::encode_request(&[b"GET", b"key:1"]);
             for _ in 0..bench.pipeline {
                 request.extend_from_slice(&one_request);
                 expected.extend_from_slice(b"$3\r\nyyy\r\n");
             }
         }
         let rng = match bench.pattern {
+            // Force a nonzero state (xorshift has an all-zero fixed
+            // point) without disturbing low seed bits.
             KeyPattern::Uniform { seed, .. } => seed | (1 << 63),
             KeyPattern::HotKey => 0,
         };
-        shards.push(RedisShard {
+        RedisStream {
+            rng,
+            request,
+            expected,
+        }
+    }
+
+    /// Draws the next Uniform batch from the PRNG (a no-op for the hot
+    /// key). The formatting is host-side client work, off the measured
+    /// virtual clock (client cores are free in the paper's testbed).
+    fn next_batch(&mut self, bench: &RedisBench) {
+        let KeyPattern::Uniform { space, .. } = bench.pattern else {
+            return;
+        };
+        let space = space.max(1);
+        self.request.clear();
+        self.expected.clear();
+        for _ in 0..bench.pipeline {
+            let i = xorshift64star(&mut self.rng) % space;
+            let key = format!("key:{i}");
+            self.request
+                .extend_from_slice(&resp::encode_request(&[b"GET", key.as_bytes()]));
+            if i < bench.keyspace {
+                self.expected.extend_from_slice(b"$3\r\n");
+                self.expected.extend_from_slice(&preload_value(i));
+                self.expected.extend_from_slice(b"\r\n");
+            } else {
+                self.expected.extend_from_slice(b"$-1\r\n");
+            }
+        }
+    }
+}
+
+/// Connections each listener shard serves on a multi-core machine
+/// (8 cores ⇒ 256 concurrent connections).
+const SMP_CONNS_PER_CORE: usize = 32;
+
+/// One per-core listener shard: the core's server instance and its
+/// keep-alive client connections, served round-robin.
+struct Shard<S> {
+    server: Rc<S>,
+    clients: Vec<TcpClient>,
+    conns: Vec<SocketHandle>,
+    next_conn: usize,
+}
+
+impl<S> Shard<S> {
+    /// Rotates to the shard's next connection.
+    fn next(&mut self) -> (&S, &mut TcpClient, SocketHandle) {
+        let idx = self.next_conn;
+        self.next_conn = (idx + 1) % self.clients.len();
+        (&self.server, &mut self.clients[idx], self.conns[idx])
+    }
+}
+
+/// Opens one listener shard per core. On each core in turn, `install`
+/// starts the server on `base_port + core`; then the shard's clients
+/// connect from source ports `src_base + 1000 * core + i` and are
+/// accepted. A one-core machine gets one connection — the pre-SMP
+/// single-client benchmark — and a multi-core machine
+/// [`SMP_CONNS_PER_CORE`] per core.
+fn open_shards<S>(
+    os: &FlexOs,
+    src_base: u16,
+    base_port: u16,
+    install: impl Fn(u16) -> Result<Rc<S>, Fault>,
+    accept: impl Fn(&S) -> Result<Option<SocketHandle>, Fault>,
+) -> Result<Vec<Shard<S>>, Fault> {
+    let cores = os.env.num_cores();
+    let conns_per_shard = if cores == 1 { 1 } else { SMP_CONNS_PER_CORE };
+    let mut shards = Vec::with_capacity(cores);
+    for core in 0..cores {
+        os.env.switch_core(core);
+        let port = base_port + core as u16;
+        let server = install(port)?;
+        let mut clients = Vec::with_capacity(conns_per_shard);
+        let mut conns = Vec::with_capacity(conns_per_shard);
+        for i in 0..conns_per_shard {
+            let src = src_base + core as u16 * 1_000 + i as u16;
+            clients.push(TcpClient::connect(&os.net, src, port)?);
+            conns.push(accept(&server)?.ok_or_else(|| Fault::InvalidConfig {
+                reason: format!("port {port}: handshake did not queue a connection"),
+            })?);
+        }
+        shards.push(Shard {
             server,
             clients,
             conns,
             next_conn: 0,
-            rng,
-            request,
-            expected,
         });
     }
-    let batches = |ops: u64| ops.div_ceil(bench.pipeline);
-    drive_cores(os, batches(bench.warmup), false, |c| {
-        redis_shard_batch(os, &bench, &mut shards[c])
-    })?;
+    Ok(shards)
+}
+
+/// The phase driver every request loop shares: `warmup_batches` on
+/// every core, a counter reset (gate, allocator and SMP counters), then
+/// `measured_batches` on every core with per-batch latency recorded.
+/// Returns the measured-phase makespan — the slowest core's span — and
+/// leaves core 0 current.
+///
+/// Each phase runs the per-core shard loops in virtual-time order: every
+/// turn picks the unfinished core with the smallest per-core clock
+/// (lowest core id on ties), switches the machine onto it, and runs
+/// exactly one batch — so execution stays single-host-threaded and
+/// bit-reproducible while the cores interleave exactly as their virtual
+/// clocks dictate.
+fn run_shards(
+    os: &FlexOs,
+    warmup_batches: u64,
+    measured_batches: u64,
+    mut batch: impl FnMut(usize) -> Result<(), Fault>,
+) -> Result<u64, Fault> {
+    let machine = os.env.machine();
+    let cores = os.env.num_cores();
+    let mut phase = |batches_per_core: u64, record_latency: bool| -> Result<u64, Fault> {
+        let starts: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
+        let mut done = vec![0u64; cores];
+        let mut makespan = 0;
+        loop {
+            // `min_by_key` keeps the first minimum: lowest core id on ties.
+            let pick = (0..cores)
+                .filter(|&c| done[c] < batches_per_core)
+                .min_by_key(|&c| machine.core_clock(c).now());
+            let Some(c) = pick else { break };
+            os.env.switch_core(c);
+            let t0 = machine.core_clock(c).now();
+            batch(c)?;
+            let t1 = machine.core_clock(c).now();
+            if record_latency {
+                machine.tracer().request_latency().record(t1 - t0);
+            }
+            done[c] += 1;
+            makespan = makespan.max(t1 - starts[c]);
+        }
+        Ok(makespan)
+    };
+    phase(warmup_batches, false)?;
     os.env.reset_counters();
     machine.reset_smp_counters();
-    let starts: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
-    let measured_batches = batches(bench.measured);
-    let ends = drive_cores(os, measured_batches, true, |c| {
-        redis_shard_batch(os, &bench, &mut shards[c])
-    })?;
-    let makespan = starts
-        .iter()
-        .zip(&ends)
-        .map(|(s, e)| e - s)
-        .max()
-        .unwrap_or(0);
+    let makespan = phase(measured_batches, true)?;
     os.env.switch_core(0);
-    Ok(metrics(
-        os,
-        cores as u64 * measured_batches * bench.pipeline,
-        makespan,
-    ))
+    Ok(makespan)
 }
 
 /// Installs an Nginx server and returns it started (welcome page written
@@ -497,9 +443,7 @@ pub fn install_nginx(os: &FlexOs) -> Result<Rc<NginxServer>, Fault> {
 ///
 /// Missing component or substrate faults.
 pub fn install_nginx_on(os: &FlexOs, port: u16) -> Result<Rc<NginxServer>, Fault> {
-    let id = os.component("nginx").ok_or_else(|| Fault::InvalidConfig {
-        reason: "image has no `nginx` component".to_string(),
-    })?;
+    let id = require_component(os, "nginx")?;
     let server = Rc::new(NginxServer::new(
         Rc::clone(&os.env),
         id,
@@ -510,22 +454,19 @@ pub fn install_nginx_on(os: &FlexOs, port: u16) -> Result<Rc<NginxServer>, Fault
     Ok(server)
 }
 
-/// wrk-style keep-alive GET loop against the welcome page.
+/// wrk-style keep-alive GET loop against the welcome page: one nginx
+/// shard per core (port `NGINX_PORT + core`) on the same sharded loop
+/// as [`run_redis_bench`]; every core serves the full `warmup +
+/// measured` GET load and `cycles` is the measured-phase makespan.
 ///
 /// # Errors
 ///
 /// Substrate faults; protocol errors.
 pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
-    if os.env.num_cores() > 1 {
-        return run_nginx_gets_smp(os, warmup, measured);
-    }
-    let server = install_nginx(os)?;
-    let mut client = TcpClient::connect(&os.net, 51_000, NGINX_PORT)?;
-    let conn = server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-        reason: "nginx: handshake did not queue a connection".to_string(),
-    })?;
-
-    let run_one = |client: &mut TcpClient| -> Result<(), Fault> {
+    let install = |port| install_nginx_on(os, port);
+    let mut shards = open_shards(os, 51_000, NGINX_PORT, install, NginxServer::accept)?;
+    let makespan = run_shards(os, warmup, measured, |c| {
+        let (server, client, conn) = shards[c].next();
         client.send(&os.net, NGINX_REQUEST)?;
         server.serve_one(conn)?;
         client.drain(&os.net)?;
@@ -536,90 +477,13 @@ pub fn run_nginx_gets(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetr
         debug_assert!(client.received_len() > 612, "head + 612-byte body");
         client.clear_received();
         Ok(())
-    };
-    for _ in 0..warmup {
-        run_one(&mut client)?;
-    }
-    os.env.reset_counters();
-    let start = os.cycles();
-    for _ in 0..measured {
-        run_one(&mut client)?;
-    }
-    Ok(metrics(os, measured, os.cycles() - start))
+    })?;
+    Ok(metrics(os, shards.len() as u64 * measured, makespan))
 }
 
-/// The wrk-style keep-alive request both nginx drivers replay.
+/// The wrk-style keep-alive request the nginx driver replays.
 const NGINX_REQUEST: &[u8] =
     b"GET /index.html HTTP/1.1\r\nHost: flexos\r\nConnection: keep-alive\r\n\r\n";
-
-/// One per-core nginx listener shard (port `NGINX_PORT + core`) and its
-/// round-robin keep-alive connections.
-struct NginxShard {
-    server: Rc<NginxServer>,
-    clients: Vec<TcpClient>,
-    conns: Vec<SocketHandle>,
-    next_conn: usize,
-}
-
-fn nginx_shard_batch(os: &FlexOs, shard: &mut NginxShard) -> Result<(), Fault> {
-    let idx = shard.next_conn;
-    shard.next_conn = (idx + 1) % shard.clients.len();
-    let client = &mut shard.clients[idx];
-    client.send(&os.net, NGINX_REQUEST)?;
-    shard.server.serve_one(shard.conns[idx])?;
-    client.drain(&os.net)?;
-    debug_assert!(
-        client.received().starts_with(b"HTTP/1.1 200 OK"),
-        "must serve 200"
-    );
-    debug_assert!(client.received_len() > 612, "head + 612-byte body");
-    client.clear_received();
-    Ok(())
-}
-
-/// Multi-core wrk loop: one nginx shard per core, cores multiplexed
-/// min-clock-first; every core serves the full `warmup + measured` GET
-/// load and `cycles` is the measured-phase makespan.
-fn run_nginx_gets_smp(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetrics, Fault> {
-    let cores = os.env.num_cores();
-    let machine = os.env.machine();
-    let mut shards = Vec::with_capacity(cores);
-    for core in 0..cores {
-        os.env.switch_core(core);
-        let port = NGINX_PORT + core as u16;
-        let server = install_nginx_on(os, port)?;
-        let mut clients = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        let mut conns = Vec::with_capacity(SMP_CONNS_PER_CORE);
-        for i in 0..SMP_CONNS_PER_CORE {
-            let src = 51_000 + core as u16 * 1_000 + i as u16;
-            clients.push(TcpClient::connect(&os.net, src, port)?);
-            conns.push(server.accept()?.ok_or_else(|| Fault::InvalidConfig {
-                reason: "nginx: handshake did not queue a connection".to_string(),
-            })?);
-        }
-        shards.push(NginxShard {
-            server,
-            clients,
-            conns,
-            next_conn: 0,
-        });
-    }
-    drive_cores(os, warmup, false, |c| nginx_shard_batch(os, &mut shards[c]))?;
-    os.env.reset_counters();
-    machine.reset_smp_counters();
-    let starts: Vec<u64> = (0..cores).map(|c| machine.core_clock(c).now()).collect();
-    let ends = drive_cores(os, measured, true, |c| {
-        nginx_shard_batch(os, &mut shards[c])
-    })?;
-    let makespan = starts
-        .iter()
-        .zip(&ends)
-        .map(|(s, e)| e - s)
-        .max()
-        .unwrap_or(0);
-    os.env.switch_core(0);
-    Ok(metrics(os, cores as u64 * measured, makespan))
-}
 
 /// Installs the iPerf server.
 ///
@@ -627,9 +491,7 @@ fn run_nginx_gets_smp(os: &FlexOs, warmup: u64, measured: u64) -> Result<RunMetr
 ///
 /// Missing component or substrate faults.
 pub fn install_iperf(os: &FlexOs) -> Result<Rc<IperfServer>, Fault> {
-    let id = os.component("iperf").ok_or_else(|| Fault::InvalidConfig {
-        reason: "image has no `iperf` component".to_string(),
-    })?;
+    let id = require_component(os, "iperf")?;
     let server = Rc::new(IperfServer::new(
         Rc::clone(&os.env),
         id,
@@ -722,9 +584,7 @@ pub struct SqliteRun {
 ///
 /// Missing component or substrate faults.
 pub fn install_sqlite(os: &FlexOs) -> Result<Rc<Sqlite>, Fault> {
-    let id = os.component("sqlite").ok_or_else(|| Fault::InvalidConfig {
-        reason: "image has no `sqlite` component".to_string(),
-    })?;
+    let id = require_component(os, "sqlite")?;
     let db = Sqlite::open(Rc::clone(&os.env), id, Rc::clone(&os.libc), "/db.sqlite")?;
     Ok(Rc::new(db))
 }

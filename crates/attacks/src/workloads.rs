@@ -143,8 +143,9 @@ pub fn forged_entry(os: &FlexOs) -> Result<AttackOutcome, Fault> {
     let env = &s.env;
     let cfi_before = env.gates().cfi_violations();
     let crossings_before = env.gates().total_crossings();
+    let forged = env.resolve(s.victim, "app_admin_backdoor");
     let res = env.run_as(s.attacker, || {
-        env.observe(env.call(s.victim, "app_admin_backdoor", || Ok(())))
+        env.observe(env.call_resolved(forged, || Ok(())))
     });
     match res {
         Ok(()) => Ok(AttackOutcome::Succeeded),

@@ -1,24 +1,23 @@
 //! Figure 6: Redis/Nginx throughput over the 80-configuration sweep.
 
 use flexos_bench::obs::{emit_canonical_if_requested, extract_obs_args};
-use flexos_bench::{fmt_rate, run_fig6_sweep};
-use flexos_explore::fig6_space;
+use flexos_bench::{fig6_label, fmt_rate, run_fig6_sweep};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let obs = extract_obs_args(&mut args);
     let app = args.first().cloned().unwrap_or_else(|| "redis".into());
-    let space = fig6_space(&app);
-    eprintln!("running {} configurations for {app}...", space.len());
-    let perf = run_fig6_sweep(&app).expect("sweep runs");
+    eprintln!("running 80 configurations for {app}...");
+    let sweep = run_fig6_sweep(&app).expect("sweep runs");
+    let perf: Vec<f64> = sweep.iter().map(|&(_, p)| p).collect();
 
-    let mut order: Vec<usize> = (0..space.len()).collect();
+    let mut order: Vec<usize> = (0..sweep.len()).collect();
     order.sort_by(|&a, &b| perf[a].total_cmp(&perf[b]));
 
     println!("# Figure 6 ({app}): throughput per configuration, ascending");
     println!("# [•=hardened ◦=plain: app,newlib,uksched,lwip] strategy");
     for &i in &order {
-        println!("{:>10}  {}", fmt_rate(perf[i]), space[i].label);
+        println!("{:>10}  {}", fmt_rate(perf[i]), fig6_label(&sweep[i].0));
     }
 
     let baseline = perf.iter().cloned().fold(f64::MIN, f64::max);

@@ -1,8 +1,8 @@
 //! Figure 8: the Redis configuration poset and the safest configurations
 //! above a 500k req/s budget (stars).
 
-use flexos_bench::{fmt_rate, run_fig6_sweep};
-use flexos_explore::{fig6_space, prune_and_star, Poset};
+use flexos_bench::{fig6_poset, fmt_rate, run_fig6_sweep};
+use flexos_explore::prune_and_star;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -12,10 +12,9 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(500_000.0);
     eprintln!("running 80 redis configurations...");
-    let space = fig6_space("redis");
-    let perf = run_fig6_sweep("redis").expect("sweep runs");
+    let sweep = run_fig6_sweep("redis").expect("sweep runs");
 
-    let poset = Poset::from_fig6(&space, &perf);
+    let poset = fig6_poset(&sweep);
     poset.check_axioms().expect("partial order is sound");
     let report = prune_and_star(&poset, budget);
 

@@ -21,9 +21,11 @@
 
 pub mod obs;
 
-use flexos_apps::workloads::{run_nginx_gets, run_redis_gets, RunMetrics};
-use flexos_explore::Fig6Point;
+use flexos_explore::{ConfigNode, Poset};
 use flexos_machine::fault::Fault;
+use flexos_sweep::report::sweep_leq;
+use flexos_sweep::space::hardening_dots;
+use flexos_sweep::{SpaceSpec, SweepPoint};
 use flexos_system::{FlexOs, SystemBuilder};
 
 /// Requests used to warm each Figure 6 configuration. The fast data
@@ -50,54 +52,59 @@ pub fn fig6_counts() -> (u64, u64) {
     )
 }
 
-/// Builds the image for one Figure 6 point and runs the app's workload.
+/// Runs the full 80-point sweep for `app`, returning each point of
+/// `flexos_sweep::SpaceSpec::fig6(app, ..)` with its throughput, in
+/// enumeration order.
+///
+/// The space is swept thread-per-worker (`SWEEP_THREADS` workers,
+/// defaulting to the host's parallelism). Per-point results are a pure
+/// function of the point, so the output is bit-identical to a serial
+/// loop — `tests/sweep_determinism.rs` pins the equivalence.
 ///
 /// # Errors
 ///
 /// Configuration or substrate faults.
-pub fn run_fig6_point(app: &str, point: &Fig6Point) -> Result<RunMetrics, Fault> {
-    let component = match app {
-        "redis" => flexos_apps::redis_component(),
-        "nginx" => flexos_apps::nginx_component(),
-        other => {
-            return Err(Fault::InvalidConfig {
-                reason: format!("unknown fig6 app `{other}`"),
-            })
-        }
-    };
-    let os = SystemBuilder::new(point.config.clone())
-        .app(component)
-        .build()?;
-    let (warmup, measured) = fig6_counts();
-    match app {
-        "redis" => run_redis_gets(&os, warmup, measured),
-        _ => run_nginx_gets(&os, warmup, measured),
-    }
-}
-
-/// Runs the full 80-point sweep for `app`, returning throughputs aligned
-/// with `flexos_explore::fig6_space(app)`.
-///
-/// Since the `flexos_sweep` engine landed this goes wide: the space is
-/// swept thread-per-worker (`SWEEP_THREADS` workers, defaulting to the
-/// host's parallelism). Per-point results are a pure function of the
-/// point, so the output is bit-identical to the historical serial loop
-/// — `tests/sweep_determinism.rs` pins the equivalence against
-/// [`run_fig6_point`].
-///
-/// # Errors
-///
-/// Configuration or substrate faults.
-pub fn run_fig6_sweep(app: &str) -> Result<Vec<f64>, Fault> {
+pub fn run_fig6_sweep(app: &str) -> Result<Vec<(SweepPoint, f64)>, Fault> {
     if !matches!(app, "redis" | "nginx") {
         return Err(Fault::InvalidConfig {
             reason: format!("unknown fig6 app `{app}`"),
         });
     }
     let (warmup, measured) = fig6_counts();
-    let spec = flexos_sweep::SpaceSpec::fig6(app, warmup, measured);
+    let spec = SpaceSpec::fig6(app, warmup, measured);
     let results = flexos_sweep::engine::run(&spec)?;
-    Ok(results.into_iter().map(|r| r.ops_per_sec).collect())
+    Ok(spec
+        .points()
+        .zip(results)
+        .map(|(p, r)| (p, r.ops_per_sec))
+        .collect())
+}
+
+/// The historical Figure 6 row label of a point: hardening dots over
+/// `app, newlib, uksched, lwip`, then the strategy
+/// (`[•◦◦•] redis+newlib / sched+lwip`).
+pub fn fig6_label(point: &SweepPoint) -> String {
+    format!(
+        "[{}] {}",
+        hardening_dots(point.hardening_mask),
+        point.strategy.label(point.workload.app())
+    )
+}
+
+/// The Figure 8 poset over measured Figure 6 points: nodes carry
+/// [`fig6_label`] and the measured throughput, ordered by the sweep's
+/// §5 safety relation.
+pub fn fig6_poset(measured: &[(SweepPoint, f64)]) -> Poset {
+    let nodes = measured
+        .iter()
+        .enumerate()
+        .map(|(index, (point, performance))| ConfigNode {
+            index,
+            label: fig6_label(point),
+            performance: *performance,
+        })
+        .collect();
+    Poset::new(nodes, |a, b| sweep_leq(&measured[a].0, &measured[b].0))
 }
 
 /// Builds a plain FlexOS instance for microbenchmarks.
@@ -221,8 +228,19 @@ mod tests {
 
     #[test]
     fn one_fig6_point_runs() {
-        let space = flexos_explore::fig6_space("redis");
-        let m = run_fig6_point("redis", &space[0]).unwrap();
-        assert!(m.ops_per_sec > 100_000.0);
+        let (warmup, measured) = fig6_counts();
+        let spec = SpaceSpec::fig6("redis", warmup, measured);
+        let r = flexos_sweep::engine::run_point(&spec, 0).unwrap();
+        assert!(r.ops_per_sec > 100_000.0);
+    }
+
+    #[test]
+    fn fig6_labels_keep_the_historical_row_form() {
+        let spec = SpaceSpec::fig6("nginx", 1, 1);
+        assert_eq!(fig6_label(&spec.point(0)), "[◦◦◦◦] nginx+newlib+sched+lwip");
+        assert_eq!(
+            fig6_label(&spec.point(16 * 3 + 0b0101)),
+            "[•◦•◦] nginx+newlib / sched+lwip"
+        );
     }
 }

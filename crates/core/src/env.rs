@@ -19,9 +19,10 @@
 //!   nothing and count as `cfi_violations`), then cost charged, crossing
 //!   counted, PKRU switched, registers saved/scrubbed (full MPK/EPT
 //!   gates).
-//! * [`Env::call`] — thin `&str` wrapper over the same path; it resolves
-//!   through the image's intern table on every call (one hash lookup, no
-//!   allocation) so external code can migrate incrementally.
+//!
+//!   Resolving a name the callee never exported still yields a target:
+//!   it is interned so the fault can name it, and every cross-compartment
+//!   call through it is rejected — which is how a forged call is written.
 //! * [`Env::mem_read`] / [`Env::mem_write`] — simulated-memory access
 //!   under the *current* domain's PKRU; touching another compartment's
 //!   pages faults exactly as MPK would. KASan-hardened components also get
@@ -739,49 +740,9 @@ impl Env {
         self.entries.name(entry)
     }
 
-    /// The abstract call gate: invokes `entry` of `to`, running `f` as the
-    /// callee. Assumes `arg_count = 2` registers carry arguments; use
-    /// [`Env::call_with_args`] to model a different arity.
-    ///
-    /// This is the thin `&str` wrapper over [`Env::call_resolved`]: it
-    /// re-resolves the target through the image's intern table on every
-    /// call — one hash lookup, allocation-free once the name has been
-    /// interned (first sight of an unregistered name interns it, bounded
-    /// by [`crate::entry::RUNTIME_INTERN_CAP`]). Components with hot
-    /// boundaries should resolve once at construction time instead.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::IllegalEntryPoint`] if the crossing targets a function not
-    /// registered as an entry point of the callee compartment (the gates'
-    /// CFI property), plus whatever `f` itself returns.
-    pub fn call<R>(
-        &self,
-        to: ComponentId,
-        entry: &str,
-        f: impl FnOnce() -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.call_resolved_with_args(self.resolve(to, entry), 2, f)
-    }
-
-    /// [`Env::call`] with an explicit count of argument registers; the full
-    /// MPK/EPT gates zero every register beyond them (§3.1).
-    ///
-    /// # Errors
-    ///
-    /// See [`Env::call`].
-    pub fn call_with_args<R>(
-        &self,
-        to: ComponentId,
-        entry: &str,
-        arg_count: usize,
-        f: impl FnOnce() -> Result<R, Fault>,
-    ) -> Result<R, Fault> {
-        self.call_resolved_with_args(self.resolve(to, entry), arg_count, f)
-    }
-
-    /// The abstract call gate over a pre-resolved [`CallTarget`], with the
-    /// default `arg_count = 2`.
+    /// The abstract call gate: invokes the resolved `target`, running `f`
+    /// as the callee, with the default `arg_count = 2` argument registers
+    /// ([`Env::call_resolved_with_args`] models a different arity).
     ///
     /// # Errors
     ///

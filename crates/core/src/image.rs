@@ -599,9 +599,10 @@ mod tests {
         let image = build_two_comp();
         let env = &image.env;
         let app = env.component_id("app").unwrap();
+        let main = env.resolve(app, "app_main");
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(app, "app_main", || Ok(())).unwrap();
+            env.call_resolved(main, || Ok(())).unwrap();
             // Direct call: 2 cycles, zero isolation overhead (Figure 3 3').
             assert_eq!(env.machine().clock().now() - t0, 2);
         });
@@ -615,9 +616,10 @@ mod tests {
         let env = &image.env;
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
+        let recv = env.resolve(lwip, "lwip_recv");
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(recv, || Ok(())).unwrap();
             let elapsed = env.machine().clock().now() - t0;
             // MPK-DSS gate (108) + callee stack-protector frame (lwip is
             // FIG6-hardened).
@@ -635,8 +637,9 @@ mod tests {
         let env = &image.env;
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
+        let internal = env.resolve(lwip, "lwip_internal_fn");
         env.run_as(app, || {
-            let err = env.call(lwip, "lwip_internal_fn", || Ok(())).unwrap_err();
+            let err = env.call_resolved(internal, || Ok(())).unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
         });
     }
@@ -652,18 +655,18 @@ mod tests {
         let env = &image.env;
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
+        let internal = env.resolve(lwip, "lwip_internal_fn");
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            let err = env.call(lwip, "lwip_internal_fn", || Ok(())).unwrap_err();
+            let err = env.call_resolved(internal, || Ok(())).unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
             assert_eq!(env.machine().clock().now(), t0, "rejection is free");
         });
         assert_eq!(env.gates().total_crossings(), 0);
         assert_eq!(env.gates().cfi_violations(), 1);
         // A legal call afterwards behaves normally.
-        env.run_as(app, || {
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
-        });
+        let recv = env.resolve(lwip, "lwip_recv");
+        env.run_as(app, || env.call_resolved(recv, || Ok(())).unwrap());
         assert_eq!(env.gates().total_crossings(), 1);
         assert_eq!(env.gates().cfi_violations(), 1);
         // reset_counters clears the violation count too.
@@ -672,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn resolved_targets_match_the_string_path() {
+    fn resolve_once_matches_resolve_per_call() {
         let image = build_two_comp();
         let env = &image.env;
         let app = env.component_id("app").unwrap();
@@ -685,7 +688,8 @@ mod tests {
             env.call_resolved(target, || Ok(())).unwrap();
             let resolved_cost = env.machine().clock().now() - t0;
             let t1 = env.machine().clock().now();
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(env.resolve(lwip, "lwip_recv"), || Ok(()))
+                .unwrap();
             assert_eq!(env.machine().clock().now() - t1, resolved_cost);
         });
         assert_eq!(env.gates().total_crossings(), 2);
@@ -698,9 +702,10 @@ mod tests {
         let app = env.component_id("app").unwrap();
         let lwip = env.component_id("lwip").unwrap();
         env.run_as(app, || {
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
-            env.call(lwip, "lwip_send", || Ok(())).unwrap();
-            env.call(app, "app_main", || Ok(())).unwrap();
+            for (to, entry) in [(lwip, "lwip_recv"), (lwip, "lwip_send"), (app, "app_main")] {
+                env.call_resolved(env.resolve(to, entry), || Ok(()))
+                    .unwrap();
+            }
         });
         let bd = image.report.crossing_breakdown(env);
         assert_eq!(bd.by_kind, vec![(GateKind::MpkDss, 2)]);
@@ -719,7 +724,7 @@ mod tests {
         env.run_as(app, move || {
             // Allocate in lwip's compartment from inside lwip...
             let lwip_buf = env2
-                .call(lwip, "lwip_recv", || {
+                .call_resolved(env2.resolve(lwip, "lwip_recv"), || {
                     let addr = env2.malloc(64)?;
                     env2.mem_write(addr, b"secret-packet")?;
                     Ok(addr)
@@ -742,7 +747,9 @@ mod tests {
             let shared = env2.malloc_shared(32).unwrap();
             env2.mem_write(shared, b"hello").unwrap();
             let got = env2
-                .call(lwip, "lwip_send", || env2.mem_read_vec(shared, 5))
+                .call_resolved(env2.resolve(lwip, "lwip_send"), || {
+                    env2.mem_read_vec(shared, 5)
+                })
                 .unwrap();
             assert_eq!(got, b"hello");
         });
@@ -894,7 +901,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         env.run_as(app, move || {
             env2.regs().set(10, 0x5EC12E7);
-            env2.call(srv, "srv_fn", || {
+            env2.call_resolved(env2.resolve(srv, "srv_fn"), || {
                 // Light gate: register set is shared (lesser guarantees).
                 assert_eq!(env2.regs().get(10), 0x5EC12E7);
                 Ok(())

@@ -8,8 +8,8 @@
 //!   descriptors with `__shared` annotations ([`component::SharedVar`])
 //!   and legal entry points, abstract call gates resolved once at build
 //!   time ([`env::Env::resolve`] → [`entry::CallTarget`] →
-//!   [`env::Env::call_resolved`], with [`env::Env::call`] as the `&str`
-//!   wrapper), and whitelist-checked shared data (§3.1);
+//!   [`env::Env::call_resolved`]), and whitelist-checked shared data
+//!   (§3.1);
 //! * the **safety configuration** — [`config::SafetyConfig`], buildable
 //!   programmatically or parsed from the paper's configuration-file format
 //!   (§3);

@@ -252,9 +252,10 @@ mod tests {
         let app = env.component_id("app").unwrap();
         let vfs = env.component_id("vfs").unwrap();
         let fs_comp = env.compartment_of(vfs);
+        let read = env.resolve(vfs, "vfs_read");
         env.run_as(app, || {
             let t0 = env.machine().clock().now();
-            env.call(vfs, "vfs_read", || Ok(())).unwrap();
+            env.call_resolved(read, || Ok(())).unwrap();
             assert_eq!(
                 env.machine().clock().now() - t0,
                 env.machine().cost().ept_rpc_gate
@@ -271,8 +272,9 @@ mod tests {
         let env = &image.env;
         let app = env.component_id("app").unwrap();
         let vfs = env.component_id("vfs").unwrap();
+        let internal = env.resolve(vfs, "vfs_secret_internal");
         env.run_as(app, || {
-            let err = env.call(vfs, "vfs_secret_internal", || Ok(())).unwrap_err();
+            let err = env.call_resolved(internal, || Ok(())).unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
         });
     }

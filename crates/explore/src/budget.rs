@@ -270,22 +270,22 @@ pub fn lazy_classify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::fig6_space;
+    use crate::poset::fixture::{fig6_points, fig6_poset};
 
     #[test]
     fn stars_are_maximal_and_meet_budget() {
-        let points = fig6_space("redis");
+        let points = fig6_points();
         // Synthetic but monotone-ish performance: hardening and
         // compartments cost throughput.
         let perf: Vec<f64> = points
             .iter()
-            .map(|p| {
+            .map(|(s, mask)| {
                 1_200_000.0
-                    - 150_000.0 * (p.strategy.compartments() as f64 - 1.0)
-                    - 120_000.0 * p.hardening_mask.count_ones() as f64
+                    - 150_000.0 * (s.compartments() as f64 - 1.0)
+                    - 120_000.0 * mask.count_ones() as f64
             })
             .collect();
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = fig6_poset(&points, &perf);
         let report = prune_and_star(&poset, 500_000.0);
         assert!(!report.stars.is_empty());
         for &s in &report.stars {
@@ -301,9 +301,9 @@ mod tests {
 
     #[test]
     fn zero_budget_keeps_everything() {
-        let points = fig6_space("redis");
+        let points = fig6_points();
         let perf = vec![1.0; points.len()];
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = fig6_poset(&points, &perf);
         let report = prune_and_star(&poset, 0.0);
         assert_eq!(report.surviving.len(), points.len());
         // With uniform performance the only maximal element is the global
@@ -313,9 +313,9 @@ mod tests {
 
     #[test]
     fn impossible_budget_stars_nothing() {
-        let points = fig6_space("redis");
+        let points = fig6_points();
         let perf = vec![1.0; points.len()];
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = fig6_poset(&points, &perf);
         let report = prune_and_star(&poset, 2.0);
         assert!(report.stars.is_empty());
         assert_eq!(report.pruned(points.len()), points.len());
@@ -323,9 +323,9 @@ mod tests {
 
     #[test]
     fn per_node_budgets_prune_independently() {
-        let points = fig6_space("redis");
+        let points = fig6_points();
         let perf: Vec<f64> = (0..points.len()).map(|i| i as f64).collect();
-        let poset = Poset::from_fig6(&points, &perf);
+        let poset = fig6_poset(&points, &perf);
         // Even indices need >= 40, odd indices >= 10.
         let report = prune_and_star_by(&poset, 0.0, |i| if i % 2 == 0 { 40.0 } else { 10.0 });
         for &s in &report.surviving {

@@ -25,6 +25,4 @@ pub use budget::{
     LazyClassification, PointStatus, StarReport,
 };
 pub use poset::{ConfigNode, Poset};
-pub use space::{
-    assigned_config, fig6_config, fig6_space, profiled_config, Fig6Point, Strategy, FIG6_COMPONENTS,
-};
+pub use space::{assigned_config, fig6_config, profiled_config, Strategy, FIG6_COMPONENTS};

@@ -1,7 +1,5 @@
 //! The configuration poset (§5, Figure 5/8).
 
-use crate::space::Fig6Point;
-
 /// A labeled node of the configuration poset.
 #[derive(Debug, Clone)]
 pub struct ConfigNode {
@@ -46,26 +44,6 @@ impl Poset {
             }
         }
         Poset { nodes, leq }
-    }
-
-    /// Builds the poset over the Figure 6 space with measured
-    /// `performance[i]` per point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `performance.len() != points.len()`.
-    pub fn from_fig6(points: &[Fig6Point], performance: &[f64]) -> Poset {
-        assert_eq!(points.len(), performance.len(), "one label per point");
-        let nodes = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ConfigNode {
-                index: i,
-                label: p.label.clone(),
-                performance: performance[i],
-            })
-            .collect();
-        Poset::new(nodes, |a, b| fig6_leq(&points[a], &points[b]))
     }
 
     /// Number of configurations.
@@ -150,29 +128,52 @@ impl Poset {
     }
 }
 
-/// The §5 safety order over two Figure 6 points: `a ≤ b` iff `b`'s
-/// partition refines `a`'s **and** `b`'s per-component hardening is a
-/// superset of `a`'s. (Mechanism and data sharing are fixed across the
-/// Figure 6 space, so dimensions 2 and 4 compare equal.)
-fn fig6_leq(a: &Fig6Point, b: &Fig6Point) -> bool {
-    if !a.strategy.refined_by(&b.strategy) {
-        return false;
+/// Test fixture: the Figure 6 shape as `(strategy, hardening mask)`
+/// pairs in the historical order (strategy-major, 16 masks each), and
+/// the poset they induce under the two §5 dimensions that vary there —
+/// partition refinement and per-component hardening inclusion.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::{ConfigNode, Poset};
+    use crate::space::Strategy;
+
+    /// The 80 `(strategy, mask)` points.
+    pub(crate) fn fig6_points() -> Vec<(Strategy, u8)> {
+        Strategy::ALL
+            .iter()
+            .flat_map(|&s| (0u8..16).map(move |m| (s, m)))
+            .collect()
     }
-    let ha = a.hardening_vec();
-    let hb = b.hardening_vec();
-    ha.iter().zip(hb.iter()).all(|(x, y)| x.subset_of(y))
+
+    /// The poset over `points` labeled with `performance[i]`.
+    pub(crate) fn fig6_poset(points: &[(Strategy, u8)], performance: &[f64]) -> Poset {
+        assert_eq!(points.len(), performance.len(), "one metric per point");
+        let nodes = performance
+            .iter()
+            .enumerate()
+            .map(|(index, &performance)| ConfigNode {
+                index,
+                label: index.to_string(),
+                performance,
+            })
+            .collect();
+        Poset::new(nodes, |a, b| {
+            let ((sa, ma), (sb, mb)) = (points[a], points[b]);
+            sa.refined_by(&sb) && ma & mb == ma
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::fixture::{fig6_points, fig6_poset};
     use super::*;
-    use crate::space::fig6_space;
 
     fn poset() -> Poset {
-        let points = fig6_space("redis");
+        let points = fig6_points();
         // Deterministic fake performance for structure tests.
         let perf: Vec<f64> = (0..points.len()).map(|i| 1000.0 - i as f64).collect();
-        Poset::from_fig6(&points, &perf)
+        fig6_poset(&points, &perf)
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The Figure 6 configuration space.
+//! The Figure 6 configuration space: its strategies and construction
+//! rules.
 //!
 //! Fixed: MPK isolation with DSS. Varied: the compartmentalization
 //! strategy (5 shapes over {app, newlib, uksched, lwip}: Figure 8's
 //! A..E) × per-component hardening (the stack-protector+UBSan+KASan
 //! bundle, on/off per component) = 5 × 2⁴ = **80 configurations** per
-//! application, exactly the sweep of §6.1.
+//! application, exactly the sweep of §6.1. The points themselves are
+//! enumerated by the sweep crate's `SpaceSpec::fig6`.
 
 use flexos_alloc::HeapKind;
 use flexos_core::compartment::{CompartmentSpec, DataSharing, Mechanism};
-use flexos_core::config::SafetyConfig;
+use flexos_core::config::{SafetyConfig, SafetyConfigBuilder};
 use flexos_core::hardening::Hardening;
 
 /// The four Figure 6 components, in row order (the application slot is
@@ -40,23 +42,9 @@ impl Strategy {
         Strategy::ThreeWay,
     ];
 
-    /// The partition over `{app, newlib, uksched, lwip}` this strategy
-    /// induces (component → compartment index).
-    pub fn partition(&self, app: &str) -> Vec<(String, usize)> {
-        let p = |name: &str, c: usize| (name.to_string(), c);
-        match self {
-            Strategy::Together => vec![p(app, 0), p("newlib", 0), p("uksched", 0), p("lwip", 0)],
-            Strategy::SplitLwip => vec![p(app, 0), p("newlib", 0), p("uksched", 0), p("lwip", 1)],
-            Strategy::SplitSched => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 0)],
-            Strategy::SplitApp => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 1)],
-            Strategy::ThreeWay => vec![p(app, 0), p("newlib", 0), p("uksched", 1), p("lwip", 2)],
-        }
-    }
-
-    /// Compartment index of `FIG6_COMPONENTS[component]` under this
-    /// strategy — the index-only view of [`Strategy::partition`] (the
-    /// assignment does not depend on the app name), cheap enough for
-    /// O(n²) safety-order comparisons.
+    /// The partition this strategy induces over [`FIG6_COMPONENTS`]:
+    /// the compartment index of `FIG6_COMPONENTS[component]` (the
+    /// assignment does not depend on the app name).
     ///
     /// # Panics
     ///
@@ -92,56 +80,16 @@ impl Strategy {
     }
 
     /// `true` if `other`'s partition refines this one (same or more
-    /// compartment cuts) — the safety assumption 1 of §5.
+    /// compartment cuts) — the safety assumption 1 of §5: every block of
+    /// `other` lies inside one block of this partition, i.e. components
+    /// that `other` keeps together, this strategy keeps together too.
     pub fn refined_by(&self, other: &Strategy) -> bool {
-        // Blocks per strategy over the 4 components, as bitsets.
-        let blocks = |s: &Strategy| -> Vec<u8> {
-            let part = s.partition("app");
-            let n = s.compartments();
-            (0..n)
-                .map(|c| {
-                    part.iter()
-                        .enumerate()
-                        .filter(|(_, (_, pc))| *pc == c)
-                        .fold(0u8, |acc, (i, _)| acc | (1 << i))
-                })
-                .collect()
-        };
-        let coarse = blocks(self);
-        let fine = blocks(other);
-        // Every fine block must be a subset of some coarse block.
-        fine.iter().all(|f| coarse.iter().any(|c| f & c == *f))
-    }
-}
-
-/// One point of the Figure 6 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig6Point {
-    /// Strategy (compartment shape).
-    pub strategy: Strategy,
-    /// Bit `i` = hardening enabled on `FIG6_COMPONENTS[i]`.
-    pub hardening_mask: u8,
-    /// The buildable configuration.
-    pub config: SafetyConfig,
-    /// Human-readable label (`[•◦◦•] app+newlib / sched+lwip` style).
-    pub label: String,
-}
-
-impl Fig6Point {
-    /// `true` if component row `i` is hardened.
-    pub fn hardened(&self, i: usize) -> bool {
-        self.hardening_mask & (1 << i) != 0
-    }
-
-    /// Per-component hardening set for poset comparison.
-    pub fn hardening_vec(&self) -> [Hardening; 4] {
-        let mut out = [Hardening::NONE; 4];
-        for (i, slot) in out.iter_mut().enumerate() {
-            if self.hardening_mask & (1 << i) != 0 {
-                *slot = Hardening::FIG6_BUNDLE;
-            }
-        }
-        out
+        (0..4).all(|i| {
+            (0..4).all(|j| {
+                other.compartment_of(i) != other.compartment_of(j)
+                    || self.compartment_of(i) == self.compartment_of(j)
+            })
+        })
     }
 }
 
@@ -204,14 +152,27 @@ pub fn profiled_config(
         }
         builder = builder.compartment(spec);
     }
-    for (component, comp_idx) in strategy.partition(app) {
+    place_and_harden(builder, app, strategy, mask)
+}
+
+/// The construction rules every Figure 6 builder shares: places each
+/// component in its compartment under `strategy`'s partition, hardens
+/// the components in `mask` with the Figure 6 bundle, and builds.
+fn place_and_harden(
+    mut builder: SafetyConfigBuilder,
+    app: &str,
+    strategy: Strategy,
+    mask: u8,
+) -> SafetyConfig {
+    let names = FIG6_COMPONENTS.map(|row| if row == "app" { app } else { row });
+    for (i, name) in names.iter().enumerate() {
+        let comp_idx = strategy.compartment_of(i);
         if comp_idx > 0 {
-            builder = builder.place(&component, &format!("comp{}", comp_idx + 1));
+            builder = builder.place(name, &format!("comp{}", comp_idx + 1));
         }
     }
-    for (i, row) in FIG6_COMPONENTS.iter().enumerate() {
+    for (i, name) in names.iter().enumerate() {
         if mask & (1 << i) != 0 {
-            let name = if *row == "app" { app } else { row };
             builder = builder.harden_component(name, Hardening::FIG6_BUNDLE);
         }
     }
@@ -268,39 +229,7 @@ pub fn assigned_config(
         }
         builder = builder.compartment(spec);
     }
-    for (component, comp_idx) in strategy.partition(app) {
-        if comp_idx > 0 {
-            builder = builder.place(&component, &format!("comp{}", comp_idx + 1));
-        }
-    }
-    for (i, row) in FIG6_COMPONENTS.iter().enumerate() {
-        if mask & (1 << i) != 0 {
-            let name = if *row == "app" { app } else { row };
-            builder = builder.harden_component(name, Hardening::FIG6_BUNDLE);
-        }
-    }
-    builder.build().expect("generated config is valid")
-}
-
-/// Generates the 80-configuration Figure 6 space for application `app`
-/// ("redis" or "nginx"): 5 strategies × 2⁴ hardening masks, MPK + DSS.
-pub fn fig6_space(app: &str) -> Vec<Fig6Point> {
-    let mut out = Vec::with_capacity(80);
-    for strategy in Strategy::ALL {
-        for mask in 0u8..16 {
-            let config = fig6_config(app, strategy, Mechanism::IntelMpk, mask);
-            let dots: String = (0..4)
-                .map(|i| if mask & (1 << i) != 0 { '•' } else { '◦' })
-                .collect();
-            out.push(Fig6Point {
-                strategy,
-                hardening_mask: mask,
-                config,
-                label: format!("[{dots}] {}", strategy.label(app)),
-            });
-        }
-    }
-    out
+    place_and_harden(builder, app, strategy, mask)
 }
 
 #[cfg(test)]
@@ -308,18 +237,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn space_has_80_points() {
-        // §6.1: "a total of 2x80 configurations" (80 per application).
-        assert_eq!(fig6_space("redis").len(), 80);
-    }
-
-    #[test]
     fn partitions_match_figure_8() {
-        let cfg = &fig6_space("redis")[16]; // first SplitLwip point
-        assert_eq!(cfg.strategy, Strategy::SplitLwip);
-        assert_eq!(cfg.config.placement("lwip"), 1);
-        assert_eq!(cfg.config.placement("redis"), 0);
-        assert_eq!(cfg.config.placement("uksched"), 0);
+        let cfg = fig6_config("redis", Strategy::SplitLwip, Mechanism::IntelMpk, 0);
+        assert_eq!(cfg.placement("lwip"), 1);
+        assert_eq!(cfg.placement("redis"), 0);
+        assert_eq!(cfg.placement("uksched"), 0);
     }
 
     #[test]
@@ -341,17 +263,6 @@ mod tests {
         // Nothing (but E) refines E.
         assert!(!ThreeWay.refined_by(&SplitApp));
         assert!(ThreeWay.refined_by(&ThreeWay));
-    }
-
-    #[test]
-    fn hardening_masks_cover_all_combinations() {
-        let space = fig6_space("nginx");
-        let masks: std::collections::HashSet<u8> = space
-            .iter()
-            .filter(|p| p.strategy == Strategy::ThreeWay)
-            .map(|p| p.hardening_mask)
-            .collect();
-        assert_eq!(masks.len(), 16);
     }
 
     #[test]
@@ -419,13 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn compartment_of_matches_the_partition() {
+    fn compartment_of_numbers_every_compartment() {
         for s in Strategy::ALL {
-            let part = s.partition("app");
-            for (i, (_, comp)) in part.iter().enumerate() {
-                assert_eq!(s.compartment_of(i), *comp, "{s:?} component {i}");
-            }
-            assert!((0..4).all(|i| s.compartment_of(i) < s.compartments()));
+            let used: std::collections::HashSet<usize> =
+                (0..4).map(|i| s.compartment_of(i)).collect();
+            assert_eq!(used, (0..s.compartments()).collect(), "{s:?}");
         }
     }
 
@@ -466,13 +375,10 @@ mod tests {
 
     #[test]
     fn hardened_components_get_the_bundle() {
-        let space = fig6_space("redis");
-        let p = space.iter().find(|p| p.hardening_mask == 0b0101).unwrap();
-        assert_eq!(p.config.hardening_of("redis"), Hardening::FIG6_BUNDLE);
-        assert_eq!(p.config.hardening_of("newlib"), Hardening::NONE);
-        assert_eq!(p.config.hardening_of("uksched"), Hardening::FIG6_BUNDLE);
-        assert_eq!(p.config.hardening_of("lwip"), Hardening::NONE);
-        assert!(p.hardened(0) && p.hardened(2));
-        assert!(!p.hardened(1) && !p.hardened(3));
+        let cfg = fig6_config("redis", Strategy::Together, Mechanism::IntelMpk, 0b0101);
+        assert_eq!(cfg.hardening_of("redis"), Hardening::FIG6_BUNDLE);
+        assert_eq!(cfg.hardening_of("newlib"), Hardening::NONE);
+        assert_eq!(cfg.hardening_of("uksched"), Hardening::FIG6_BUNDLE);
+        assert_eq!(cfg.hardening_of("lwip"), Hardening::NONE);
     }
 }

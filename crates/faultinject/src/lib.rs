@@ -289,9 +289,9 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
                 // forging into the other tenant: always a foreign
                 // compartment, never a registered entry point.
                 let victim = ids[(target_idx + 1) % ids.len()];
+                let forged = env.resolve(victim, "admin_backdoor");
                 env.run_as(target, || {
-                    env.observe(env.call(victim, "admin_backdoor", || Ok(())))
-                        .err()
+                    env.observe(env.call_resolved(forged, || Ok(()))).err()
                 })
             }
             Injection::HeapPoison => env.run_as(target, || {
@@ -323,7 +323,8 @@ pub fn run_campaign_on(os: &FlexOs, spec: &CampaignSpec) -> Result<CampaignLog, 
     env.reset_budget_usage();
     let lwip = ids[0];
     let survived = ids[1..].iter().all(|&tenant| {
-        env.run_as(lwip, || env.call(tenant, "redis_handle", || Ok(())))
+        let handle = env.resolve(tenant, "redis_handle");
+        env.run_as(lwip, || env.call_resolved(handle, || Ok(())))
             .is_ok()
     });
 

@@ -186,6 +186,7 @@ struct OrderKey {
     mech: u8,
     mask: u8,
     strengths: [u8; 4],
+    cores: u32,
 }
 
 fn strategy_id(s: Strategy) -> usize {
@@ -206,7 +207,8 @@ fn refined_table() -> [[bool; 5]; 5] {
 }
 
 fn key_leq(refined: &[[bool; 5]; 5], a: &OrderKey, b: &OrderKey) -> bool {
-    refined[a.strategy][b.strategy]
+    a.cores >= b.cores
+        && refined[a.strategy][b.strategy]
         && a.mask & b.mask == a.mask
         && a.mech <= b.mech
         && a.strengths.iter().zip(&b.strengths).all(|(x, y)| x <= y)
@@ -412,6 +414,7 @@ pub fn lazy_sweep(
                 mech: mechanism_rank(shape.mechanism),
                 mask: shape.hardening_mask,
                 strengths: shape.component_share_strengths(),
+                cores: shape.cores,
             });
         }
         rep_of_pos.push(id);

@@ -76,8 +76,8 @@ impl Workload {
 /// Enumeration order is workload-major, then strategy, then mechanism,
 /// then data sharing, then allocator, then hardening mask — chosen so
 /// [`SpaceSpec::fig6`] (which pins the profile axes to one value each)
-/// enumerates its 80 points in exactly the historical `fig6_space`
-/// order.
+/// enumerates its 80 points in exactly the historical Figure 6 order
+/// (strategy-major, then hardening mask).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceSpec {
     /// Space name (reports, `BENCH_sweep.json`).
@@ -167,11 +167,6 @@ pub struct CanonicalPoint {
 }
 
 impl PointShape {
-    /// Per-component hardening set for safety-order comparison.
-    pub fn hardened_subset_of(&self, other: &PointShape) -> bool {
-        self.hardening_mask & other.hardening_mask == self.hardening_mask
-    }
-
     /// Per-component data-sharing strengths (see
     /// [`component_share_strengths`]).
     pub fn component_share_strengths(&self) -> [u8; 4] {
@@ -633,8 +628,8 @@ impl SpaceSpec {
         let app = shape.workload.app();
         let (data_sharing, allocator) = shape.profiles[0];
         // The one copy of the Figure 6 construction rules, profile
-        // parameterized (`flexos_explore::fig6_space` shares it through
-        // the pinned-axes wrapper). Uniform spaces keep the historical
+        // parameterized (`flexos_explore::fig6_config` is its
+        // pinned-axes wrapper). Uniform spaces keep the historical
         // `profiled_config` path so their configs stay byte-identical;
         // mixed assignments go through the per-compartment builder.
         let config = if self.per_compartment_profiles {
@@ -677,21 +672,23 @@ impl SpaceSpec {
     }
 }
 
+/// Renders a hardening mask as one dot per [`FIG6_COMPONENTS`] row,
+/// `•` hardened and `◦` plain (`0b1001` → `•◦◦•`).
+///
+/// [`FIG6_COMPONENTS`]: flexos_explore::FIG6_COMPONENTS
+pub fn hardening_dots(mask: u8) -> String {
+    (0..4)
+        .map(|i| if mask & (1 << i) != 0 { '•' } else { '◦' })
+        .collect()
+}
+
 /// Renders a shape's label. Points with one profile across every
 /// compartment print the historical scalar form (`dss · tlsf`);
 /// genuinely mixed assignments join per-compartment entries
 /// (`dss/tlsf+shared-stack/lea`).
 fn label_from_shape(shape: &PointShape) -> String {
     let app = shape.workload.app();
-    let dots: String = (0..4)
-        .map(|i| {
-            if shape.hardening_mask & (1 << i) != 0 {
-                '•'
-            } else {
-                '◦'
-            }
-        })
-        .collect();
+    let dots = hardening_dots(shape.hardening_mask);
     let mech = match shape.mechanism {
         Mechanism::None => "none",
         Mechanism::IntelMpk => "mpk",
@@ -730,13 +727,16 @@ mod tests {
     fn fig6_subset_matches_the_historical_space() {
         for app in ["redis", "nginx"] {
             let spec = SpaceSpec::fig6(app, 5, 20);
-            let old = flexos_explore::fig6_space(app);
-            assert_eq!(spec.len(), old.len());
-            for (i, legacy) in old.iter().enumerate() {
-                let p = spec.point(i);
-                assert_eq!(p.strategy, legacy.strategy, "{app} point {i}");
-                assert_eq!(p.hardening_mask, legacy.hardening_mask, "{app} point {i}");
-                assert_eq!(p.config, legacy.config, "{app} point {i}");
+            // §6.1: "a total of 2x80 configurations" (80 per application),
+            // strategy-major, each strategy with all 16 hardening masks.
+            assert_eq!(spec.len(), 80);
+            for (i, p) in spec.points().enumerate() {
+                let strategy = Strategy::ALL[i / 16];
+                let mask = (i % 16) as u8;
+                assert_eq!(p.strategy, strategy, "{app} point {i}");
+                assert_eq!(p.hardening_mask, mask, "{app} point {i}");
+                let legacy = flexos_explore::fig6_config(app, strategy, Mechanism::IntelMpk, mask);
+                assert_eq!(p.config, legacy, "{app} point {i}");
             }
         }
     }

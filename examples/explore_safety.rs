@@ -7,8 +7,9 @@
 //! ```
 
 use flexos::prelude::*;
-use flexos_apps::workloads::run_redis_gets;
-use flexos_explore::{fig6_space, prune_and_star, Poset};
+use flexos_bench::fig6_poset;
+use flexos_explore::prune_and_star;
+use flexos_sweep::{engine, SpaceSpec};
 
 fn main() -> Result<(), Fault> {
     let budget: f64 = std::env::args()
@@ -16,21 +17,18 @@ fn main() -> Result<(), Fault> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(800_000.0);
 
-    // Measure a 20-point slice of the space (strategies A+B, all
+    // Measure a 32-point slice of the space (strategies A+B, all
     // hardening masks) to keep the example quick.
-    let space = fig6_space("redis");
-    let slice: Vec<_> = space.into_iter().take(32).collect();
-    println!("measuring {} configurations...", slice.len());
-    let mut perf = Vec::new();
-    for point in &slice {
-        let os = SystemBuilder::new(point.config.clone())
-            .app(flexos_apps::redis_component())
-            .build()?;
-        let m = run_redis_gets(&os, 5, 30)?;
-        perf.push(m.ops_per_sec);
+    let spec = SpaceSpec::fig6("redis", 5, 30);
+    let slice = 32;
+    println!("measuring {slice} configurations...");
+    let mut measured = Vec::new();
+    for i in 0..slice {
+        let perf = engine::run_point(&spec, i)?.ops_per_sec;
+        measured.push((spec.point(i), perf));
     }
 
-    let poset = Poset::from_fig6(&slice, &perf);
+    let poset = fig6_poset(&measured);
     poset.check_axioms().expect("sound partial order");
     let report = prune_and_star(&poset, budget);
 
@@ -38,7 +36,7 @@ fn main() -> Result<(), Fault> {
         "\nbudget {:.0} req/s: {} survive, {} pruned, {} starred",
         budget,
         report.surviving.len(),
-        report.pruned(slice.len()),
+        report.pruned(slice),
         report.stars.len()
     );
     for &s in &report.stars {

@@ -468,9 +468,10 @@ fn disabled_tracing_keeps_the_get_path_alloc_free_and_cycle_exact() {
 }
 
 #[test]
-fn str_wrapper_resolves_without_allocating_after_first_use() {
-    // The thin `&str` wrapper re-resolves through the intern table each
-    // call: one hash lookup, no allocation once the name is interned.
+fn re_resolving_by_name_does_not_allocate_after_first_use() {
+    // Resolving the entry name before every call goes through the
+    // intern table: one hash lookup, no allocation once the name is
+    // interned.
     let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
         .app(flexos_apps::redis_component())
         .build()
@@ -478,12 +479,13 @@ fn str_wrapper_resolves_without_allocating_after_first_use() {
     let env = std::rc::Rc::clone(&os.env);
     let app = os.app_ids[0];
     let lwip = env.component_id("lwip").unwrap();
+    let call = || env.call_resolved(env.resolve(lwip, "lwip_poll"), || Ok(()));
     env.run_as(app, || {
-        env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+        call().unwrap();
         let before = allocations();
         for _ in 0..1_000 {
-            env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+            call().unwrap();
         }
-        assert_eq!(allocations() - before, 0, "&str wrapper path allocated");
+        assert_eq!(allocations() - before, 0, "re-resolving by name allocated");
     });
 }

@@ -108,13 +108,13 @@ fn gates_are_the_only_legal_entries() {
         let env = &os.env;
         let redis = os.app_ids[0];
         let lwip = env.component_id("lwip").unwrap();
+        let recv = env.resolve(lwip, "lwip_recv");
+        let internal = env.resolve(lwip, "lwip_internal_timer");
         env.run_as(redis, || {
             // Registered entry point: fine.
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+            env.call_resolved(recv, || Ok(())).unwrap();
             // Internal function: the gate's CFI property refuses it.
-            let err = env
-                .call(lwip, "lwip_internal_timer", || Ok(()))
-                .unwrap_err();
+            let err = env.call_resolved(internal, || Ok(())).unwrap_err();
             assert!(matches!(err, Fault::IllegalEntryPoint { .. }), "{name}");
         });
     }
@@ -189,8 +189,9 @@ fn ept_vms_duplicate_tcb_and_check_entries() {
     let env = &os.env;
     let app = os.app_ids[0];
     let vfs = env.component_id("vfscore").unwrap();
+    let backdoor = env.resolve(vfs, "vfs_backdoor");
     env.run_as(app, || {
-        let err = env.call(vfs, "vfs_backdoor", || Ok(())).unwrap_err();
+        let err = env.call_resolved(backdoor, || Ok(())).unwrap_err();
         assert!(matches!(err, Fault::IllegalEntryPoint { .. }));
     });
 }
@@ -242,9 +243,10 @@ fn same_compartment_config_has_zero_gate_overhead() {
     let env = &os.env;
     let redis = os.app_ids[0];
     let lwip = env.component_id("lwip").unwrap();
+    let poll = env.resolve(lwip, "lwip_poll");
     env.run_as(redis, || {
         let t0 = env.machine().clock().now();
-        env.call(lwip, "lwip_poll", || Ok(())).unwrap();
+        env.call_resolved(poll, || Ok(())).unwrap();
         assert_eq!(env.machine().clock().now() - t0, 2);
     });
     assert_eq!(env.gates().total_crossings(), 0);

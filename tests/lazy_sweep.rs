@@ -160,3 +160,32 @@ fn lazy_matches_exhaustive_on_a_seeded_full_profiled_slice() {
     assert_eq!(out.stats.points, 500);
     assert_eq!(out.stats.canonical, 500, "sampler guarantees distinct keys");
 }
+
+#[test]
+fn lazy_matches_exhaustive_on_the_full_smp_space() {
+    // The cores axis is part of the §5 order (`a.cores >= b.cores`): the
+    // lazy engine's packed order must carry it too, or core-count twins
+    // tie in both directions and a scope loses every minimal.
+    let spec = SpaceSpec::full_smp(2, 8);
+    assert_eq!(spec.len(), 408);
+    let points: Vec<_> = spec.points().collect();
+    let results = engine::run_parallel(&spec, 4).expect("exhaustive sweep");
+    let budgets = report::BudgetVector::uniform(0.8);
+    let (_, exhaustive) = report::star_report_vec(&points, &results, &budgets);
+
+    let cfg = lazy::LazyConfig {
+        threads: 4,
+        budgets,
+        verify_inference: true,
+        pareto_fracs: Vec::new(),
+    };
+    let out = lazy::lazy_sweep_all(&spec, &cfg, None).expect("lazy sweep");
+    assert_eq!(out.surviving, exhaustive.surviving);
+    assert_eq!(out.stars, exhaustive.stars);
+    assert!(
+        out.inference_misses.is_empty(),
+        "{:?}",
+        out.inference_misses
+    );
+    assert!(out.stats.measured < out.stats.points);
+}

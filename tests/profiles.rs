@@ -89,10 +89,14 @@ fn mixed_gates_coexist_in_one_image() {
     let lwip = env.component_id("lwip").unwrap();
     let sched = env.component_id("uksched").unwrap();
     let env2 = Rc::clone(&env);
+    let (poll, yield_) = (
+        env.resolve(lwip, "lwip_poll"),
+        env.resolve(sched, "uksched_yield"),
+    );
     env.run_as(app, move || {
-        env2.call(lwip, "lwip_poll", || {
+        env2.call_resolved(poll, || {
             // From inside the lwip compartment, cross back into comp1.
-            env2.call(sched, "uksched_yield", || Ok(())).map(|_| ())
+            env2.call_resolved(yield_, || Ok(()))
         })
         .unwrap();
     });

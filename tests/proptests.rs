@@ -8,10 +8,10 @@
 
 use flexos::prelude::*;
 use flexos_alloc::{lea::Lea, tlsf::Tlsf, RegionAlloc};
-use flexos_explore::{fig6_space, Poset};
 use flexos_machine::addr::Addr;
 use flexos_machine::key::{Access, Pkru, ProtKey};
 use flexos_machine::mem::Memory;
+use flexos_sweep::SpaceSpec;
 
 /// Deterministic xorshift64* generator; good enough to churn data
 /// structures, not meant for anything cryptographic.
@@ -311,9 +311,13 @@ fn corrupted_frames_never_parse() {
 
 #[test]
 fn poset_axioms_hold_on_random_subsets() {
-    let space = fig6_space("redis");
-    let perf: Vec<f64> = (0..space.len()).map(|i| (i * 13 % 97) as f64).collect();
-    let poset = Poset::from_fig6(&space, &perf);
+    // The Figure 8 poset: the fig6 points ordered by `sweep_leq`.
+    let measured: Vec<_> = SpaceSpec::fig6("redis", 1, 1)
+        .points()
+        .enumerate()
+        .map(|(i, p)| (p, (i * 13 % 97) as f64))
+        .collect();
+    let poset = flexos_bench::fig6_poset(&measured);
     let mut rng = Rng::new(0x9053_f008);
     for _case in 0..64 {
         let count = rng.range(2, 12) as usize;
@@ -367,11 +371,11 @@ fn sql_parser_never_panics() {
 }
 
 #[test]
-fn resolved_and_string_call_paths_are_equivalent() {
-    // ISSUE 2: the `&str` wrapper path (`Env::call`) and the pre-resolved
-    // `CallTarget` path (`Env::call_resolved`) must produce identical
-    // faults, crossing counts, CFI-violation counts, and virtual-clock
-    // readings across random configurations and entry sequences.
+fn resolve_per_call_and_resolve_once_are_equivalent() {
+    // Re-resolving the entry name before every call and calling through
+    // targets resolved once up front must produce identical faults,
+    // crossing counts, CFI-violation counts, and virtual-clock readings
+    // across random configurations and entry sequences.
     use flexos_core::compartment::DataSharing;
 
     let components = ["lwip", "uksched", "vfscore", "uktime", "newlib"];
@@ -408,8 +412,8 @@ fn resolved_and_string_call_paths_are_equivalent() {
                 .build()
                 .unwrap()
         };
-        let by_str = build();
-        let by_target = build();
+        let per_call = build();
+        let once = build();
 
         // The same random (caller, callee, entry) sequence on both images.
         let calls: Vec<(usize, usize)> = (0..rng.range(4, 40))
@@ -437,12 +441,13 @@ fn resolved_and_string_call_paths_are_equivalent() {
             let mut faults = Vec::new();
             env.run_as(app, || {
                 for &(comp_idx, entry_idx) in &calls {
-                    let outcome = if resolved {
-                        env.call_resolved(targets[comp_idx][entry_idx], || Ok(()))
+                    let target = if resolved {
+                        targets[comp_idx][entry_idx]
                     } else {
                         let to = env.component_id(components[comp_idx]).unwrap();
-                        env.call(to, entries[entry_idx], || Ok(()))
+                        env.resolve(to, entries[entry_idx])
                     };
+                    let outcome = env.call_resolved(target, || Ok(()));
                     faults.push(outcome.is_err());
                 }
             });
@@ -455,8 +460,8 @@ fn resolved_and_string_call_paths_are_equivalent() {
             )
         };
 
-        let a = run(&by_str, false);
-        let b = run(&by_target, true);
+        let a = run(&per_call, false);
+        let b = run(&once, true);
         assert_eq!(a, b, "paths diverged (sharing {sharing:?})");
     }
 }

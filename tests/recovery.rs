@@ -215,17 +215,16 @@ fn crash_looping_compartment_is_evicted_after_the_restart_budget() {
 
     // Gates refuse entry into the dead tenant from now on...
     let redis = os.component("redis-a").unwrap();
+    let recv = env.resolve(lwip, "lwip_recv");
     env.run_as(redis, || {
         assert!(matches!(
-            env.call(lwip, "lwip_recv", || Ok(())).unwrap_err(),
+            env.call_resolved(recv, || Ok(())).unwrap_err(),
             Fault::Quarantined { .. }
         ));
     });
     // ...and further fault bursts drain quietly: still no reboot, the
     // quarantine bit never clears.
-    let _ = env.run_as(redis, || {
-        env.observe(env.call(lwip, "lwip_recv", || Ok(())))
-    });
+    let _ = env.run_as(redis, || env.observe(env.call_resolved(recv, || Ok(()))));
     assert!(sup.poll().is_none());
     assert!(env.is_quarantined(net));
     assert_eq!(sup.reports().len(), 2);
@@ -263,11 +262,12 @@ fn isolation_trio_still_holds_after_a_microreboot() {
 
     // 2. Gates are still the only legal entries — the replayed entry
     // surface is neither widened nor lost.
+    let recv = env.resolve(lwip, "lwip_recv");
+    let internal = env.resolve(lwip, "lwip_internal_timer");
     env.run_as(redis, || {
-        env.call(lwip, "lwip_recv", || Ok(())).unwrap();
+        env.call_resolved(recv, || Ok(())).unwrap();
         assert!(matches!(
-            env.call(lwip, "lwip_internal_timer", || Ok(()))
-                .unwrap_err(),
+            env.call_resolved(internal, || Ok(())).unwrap_err(),
             Fault::IllegalEntryPoint { .. }
         ));
     });

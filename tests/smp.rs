@@ -7,7 +7,9 @@
 use flexos::prelude::*;
 use flexos::sweep::{engine, report, SpaceSpec};
 use flexos::trace::TraceConfig;
-use flexos_apps::workloads::{run_nginx_gets, run_redis_gets, RunMetrics};
+use flexos_apps::workloads::{
+    run_nginx_gets, run_redis_bench, run_redis_gets, KeyPattern, RedisBench, RunMetrics,
+};
 use flexos_core::compartment::DataSharing;
 use flexos_system::observe::{trace_artifacts, TraceArtifacts};
 
@@ -173,4 +175,43 @@ fn multicore_nginx_event_loops_are_deterministic_and_sharded() {
     assert_eq!(ipi1, ipi2);
     assert_eq!(m1.ops, 4 * 16, "one listener shard per core");
     assert!(ipi1 > 0, "nginx shards off core 0 must pay the IPI");
+}
+
+#[test]
+fn request_drivers_keep_their_recorded_metrics() {
+    // Reference `(ops, cycles)` of every request driver on the one
+    // sharded loop: one core is one shard with one connection (the
+    // pre-SMP benchmark), two cores are two shards of 32 connections.
+    let hot = RedisBench {
+        warmup: 6,
+        measured: 40,
+        ..RedisBench::default()
+    };
+    let uniform = RedisBench {
+        keyspace: 6,
+        pipeline: 4,
+        pattern: KeyPattern::Uniform { space: 8, seed: 7 },
+        warmup: 8,
+        measured: 40,
+    };
+    let redis = |bench, cores| run_redis_bench(&redis_mpk2_cores(cores), bench).unwrap();
+    let nginx = |cores| {
+        let os = SystemBuilder::new(configs::mpk2(&["lwip"], DataSharing::Dss).unwrap())
+            .app(flexos_apps::nginx_component())
+            .cores(cores)
+            .build()
+            .unwrap();
+        run_nginx_gets(&os, 6, 40).unwrap()
+    };
+    let cases = [
+        ("redis hot key, 1 core", redis(hot, 1), (40, 78200)),
+        ("redis hot key, 2 cores", redis(hot, 2), (80, 115256)),
+        ("redis uniform P4, 1 core", redis(uniform, 1), (40, 53660)),
+        ("redis uniform P4, 2 cores", redis(uniform, 2), (80, 75092)),
+        ("nginx, 1 core", nginx(1), (40, 116740)),
+        ("nginx, 2 cores", nginx(2), (80, 155164)),
+    ];
+    for (name, m, expected) in cases {
+        assert_eq!((m.ops, m.cycles), expected, "{name}");
+    }
 }

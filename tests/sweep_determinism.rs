@@ -39,9 +39,8 @@ fn fig6_subset_reproduces_the_legacy_runner() {
     let spec = SpaceSpec::fig6("redis", warmup, measured);
     let engine_results = engine::run_parallel(&spec, 4).expect("engine sweep");
 
-    let legacy_space = flexos::explore::fig6_space("redis");
-    assert_eq!(engine_results.len(), legacy_space.len());
-    for (i, point) in legacy_space.iter().enumerate() {
+    assert_eq!(engine_results.len(), 80);
+    for (i, point) in spec.points().enumerate() {
         let os = SystemBuilder::new(point.config.clone())
             .app(flexos_apps::redis_component())
             .build()
